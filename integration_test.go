@@ -5,6 +5,7 @@ package mpipart_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"mpipart/internal/bench"
@@ -92,6 +93,14 @@ func TestEndToEndApplicationAgreement(t *testing.T) {
 		return dl.PartitionedAllreduce(r, c)
 	})
 	dn := bench.MeasureDL(cluster.OneNodeGH200(), dcfg, dl.NCCLAllreduce)
+	// MeasureDL must run full payload: a timing-only world reports NaN
+	// sums, and all-zero weights would agree vacuously.
+	for _, s := range []float64{dm.WeightSum, dp.WeightSum, dn.WeightSum} {
+		if math.IsNaN(s) || math.IsInf(s, 0) || s == 0 {
+			t.Fatalf("dl weight sums %v, %v, %v: want finite and non-zero (is MeasureDL timing-only?)",
+				dm.WeightSum, dp.WeightSum, dn.WeightSum)
+		}
+	}
 	const eps = 1e-7
 	if d := dm.WeightSum - dp.WeightSum; d > eps || d < -eps {
 		t.Errorf("dl mpi vs partitioned disagree: %v vs %v", dm.WeightSum, dp.WeightSum)

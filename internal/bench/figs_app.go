@@ -113,11 +113,18 @@ func Fig9(maxMult int) *Table { return RunJob(defaultRunner, Fig9Job(maxMult)) }
 // variant's first step is persistent-channel warmup).
 const DLSteps = 3
 
-// MeasureDL runs one deep-learning variant SPMD and returns rank 0's stats.
+// MeasureDL runs one deep-learning variant SPMD on a full-payload world and
+// returns rank 0's stats (WeightSum included; see dlOn).
 func MeasureDL(topo cluster.Topology, cfg dl.Config,
 	variant func(r *mpi.Rank, comm *nccl.Comm, cfg dl.Config) dl.Stats) dl.Stats {
-	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
+	w := measureWorld(topo, cluster.DefaultModel(), false)
 	defer w.Free()
+	return dlOn(w, cfg, variant)
+}
+
+// dlOn runs one deep-learning variant SPMD on w and returns rank 0's stats.
+func dlOn(w *mpi.World, cfg dl.Config,
+	variant func(r *mpi.Rank, comm *nccl.Comm, cfg dl.Config) dl.Stats) dl.Stats {
 	comm := nccl.NewComm(w)
 	var out dl.Stats
 	w.Spawn(func(r *mpi.Rank) {
@@ -146,15 +153,17 @@ func dlVariant(name string) func(r *mpi.Rank, comm *nccl.Comm, cfg dl.Config) dl
 	}
 }
 
-// DLPoint declares one deep-learning training-step measurement; variant is
-// "mpi", "partitioned", or "nccl".
+// DLPoint declares one timing-only deep-learning training-step
+// measurement; variant is "mpi", "partitioned", or "nccl".
 func DLPoint(id string, topo cluster.Topology, cfg dl.Config, variant string) runner.Point {
 	v := dlVariant(variant)
 	return runner.Point{
 		ID:  id,
 		Key: runner.KeyOf("dl", topo, cluster.DefaultModel(), cfg, variant),
 		Run: func() runner.Metrics {
-			st := MeasureDL(topo, cfg, v)
+			w := measureWorld(topo, cluster.DefaultModel(), true)
+			defer w.Free()
+			st := dlOn(w, cfg, v)
 			return runner.Metrics{"step_ns": float64(st.StepTime)}
 		},
 	}

@@ -49,14 +49,42 @@ func NCCLAllreducePoint(id string, cfg AllreduceConfig) runner.Point {
 	return elapsedPoint(id, key, func() float64 { return float64(MeasureNCCLAllreduce(cfg)) })
 }
 
-// MeasureMPIAllreduce times the traditional model: vector-add kernel →
+// MeasureMPIAllreduce times the traditional model on a timing-only world;
+// see mpiAllreduceOn.
+func MeasureMPIAllreduce(cfg AllreduceConfig) sim.Duration {
+	return measureAllreduce(cfg, mpiAllreduceOn)
+}
+
+// MeasurePartitionedAllreduce times the partitioned collective on a
+// timing-only world; see partitionedAllreduceOn.
+func MeasurePartitionedAllreduce(cfg AllreduceConfig) sim.Duration {
+	return measureAllreduce(cfg, partitionedAllreduceOn)
+}
+
+// MeasureNCCLAllreduce times the NCCL baseline on a timing-only world; see
+// ncclAllreduceOn.
+func MeasureNCCLAllreduce(cfg AllreduceConfig) sim.Duration {
+	return measureAllreduce(cfg, ncclAllreduceOn)
+}
+
+// allreduceOn is one allreduce measurement body, run on a world its caller
+// builds in either payload mode.
+type allreduceOn func(w *mpi.World, cfg AllreduceConfig) sim.Duration
+
+// measureAllreduce runs on in a timing-only world: the result is a virtual
+// time, which buffer contents cannot change (payload_test.go).
+func measureAllreduce(cfg AllreduceConfig, on allreduceOn) sim.Duration {
+	w := measureWorld(cfg.Topo, cfg.model(), true)
+	defer w.Free()
+	return on(w, cfg)
+}
+
+// mpiAllreduceOn times the traditional model on w: vector-add kernel →
 // cudaStreamSynchronize → MPI_Allreduce (host-staged linear fallback).
 // The returned time is rank 0's, with a barrier ensuring it covers the
 // slowest rank.
-func MeasureMPIAllreduce(cfg AllreduceConfig) sim.Duration {
+func mpiAllreduceOn(w *mpi.World, cfg AllreduceConfig) sim.Duration {
 	var elapsed sim.Duration
-	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
-	defer w.Free()
 	n := cfg.Grid * 1024
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
@@ -77,15 +105,13 @@ func MeasureMPIAllreduce(cfg AllreduceConfig) sim.Duration {
 	return elapsed
 }
 
-// MeasurePartitionedAllreduce times the partitioned collective: the
+// partitionedAllreduceOn times the partitioned collective on w: the
 // steady-state epoch's kernel launch → MPI_Wait span, with user partitions
 // marked ready from inside the kernel (block-aggregated device
 // MPIX_Pready). Start and Pbuf_prepare run outside the timed region, as in
 // the Section VI-B micro-benchmarks.
-func MeasurePartitionedAllreduce(cfg AllreduceConfig) sim.Duration {
+func partitionedAllreduceOn(w *mpi.World, cfg AllreduceConfig) sim.Duration {
 	var elapsed sim.Duration
-	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
-	defer w.Free()
 	n := cfg.Grid * 1024
 	up := cfg.UserParts
 	if up <= 0 {
@@ -133,12 +159,10 @@ func MeasurePartitionedAllreduce(cfg AllreduceConfig) sim.Duration {
 	return elapsed
 }
 
-// MeasureNCCLAllreduce times the NCCL baseline: kernel → ncclAllReduce on
+// ncclAllreduceOn times the NCCL baseline on w: kernel → ncclAllReduce on
 // the stream → one cudaStreamSynchronize.
-func MeasureNCCLAllreduce(cfg AllreduceConfig) sim.Duration {
+func ncclAllreduceOn(w *mpi.World, cfg AllreduceConfig) sim.Duration {
 	var elapsed sim.Duration
-	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
-	defer w.Free()
 	comm := nccl.NewComm(w)
 	n := cfg.Grid * 1024
 	w.Spawn(func(r *mpi.Rank) {

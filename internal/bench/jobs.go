@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"mpipart/internal/cluster"
+	"mpipart/internal/mpi"
 	"mpipart/internal/runner"
 )
 
@@ -54,4 +56,16 @@ func elapsedPoint(id, key string, measure func() float64) runner.Point {
 	return runner.Point{ID: id, Key: key, Run: func() runner.Metrics {
 		return runner.Metrics{"elapsed_ns": measure()}
 	}}
+}
+
+// measureWorld builds the world of one measurement. Measurements whose
+// results are pure virtual time pass timingOnly (sim.Kernel.SetTimingOnly),
+// which skips all payload arithmetic and copies; MeasureDL keeps full
+// payload because its callers read the computed WeightSum.
+func measureWorld(topo cluster.Topology, m cluster.Model, timingOnly bool) *mpi.World {
+	w := mpi.NewWorld(topo, m, 1)
+	if timingOnly {
+		w.K.SetTimingOnly()
+	}
+	return w
 }

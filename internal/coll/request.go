@@ -236,7 +236,7 @@ func InitWithScheduleBuffers(p *sim.Proc, r *mpi.Rank, sendBuf, recvBuf []float6
 			for use := 0; use < uses; use++ {
 				view := c.chunkViewIn(u, recvChunk[nbr][use])
 				if recvReduce[nbr][use] {
-					stag[u*uses+use] = make([]float64, len(view))
+					stag[u*uses+use] = r.Dev.Alloc(len(view))
 					view = stag[u*uses+use]
 				}
 				parts = append(parts, view)
@@ -439,7 +439,7 @@ func (c *Request) Progress(p *sim.Proc) (didWork, stillActive bool) {
 				c.armStep(st)
 				did = true
 				if st.step == len(c.Sched.Steps) {
-					if c.selfCopy {
+					if c.selfCopy && !c.R.W.K.TimingOnly() {
 						copy(c.chunkViewIn(up, c.Sched.Rank), c.chunkView(up, c.Sched.Rank))
 					}
 					c.doneUPs++
@@ -479,10 +479,14 @@ func (c *Request) reduceData(p *sim.Proc, up int, eu EdgeUse) {
 		block = n
 	}
 	grid := (n + block - 1) / block
-	c.stream.Launch(gpu.KernelSpec{
+	spec := gpu.KernelSpec{
 		Name: "preduce", Grid: grid, Block: block,
 		WaveTime: c.R.W.Model.ScaledWaveTime(1),
-		Body: func(b *gpu.BlockCtx) {
+	}
+	// A timing-only world launches the kernel for its time and folds
+	// nothing.
+	if !c.R.W.K.TimingOnly() {
+		spec.Body = func(b *gpu.BlockCtx) {
 			// Each thread owns one element, so the block's work is one
 			// contiguous range: apply the op over it in bulk instead of one
 			// two-element slice call per thread (elementwise ops make the
@@ -495,8 +499,9 @@ func (c *Request) reduceData(p *sim.Proc, up int, eu EdgeUse) {
 			if lo < hi {
 				op.Apply(dst[lo:hi], src[lo:hi])
 			}
-		},
-	})
+		}
+	}
+	c.stream.Launch(spec)
 	c.stream.Synchronize(p)
 }
 

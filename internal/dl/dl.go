@@ -18,7 +18,6 @@ package dl
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mpipart/internal/coll"
 	"mpipart/internal/gpu"
@@ -73,7 +72,7 @@ func (c Config) Validate() error {
 type Stats struct {
 	Elapsed   sim.Duration
 	StepTime  sim.Duration // Elapsed / Steps
-	WeightSum float64      // checksum of the final weights
+	WeightSum float64      // checksum of the final weights; NaN when timing-only
 }
 
 // model holds one rank's training state.
@@ -83,11 +82,9 @@ type model struct {
 	w    []float64 // parameters (identical on every rank)
 	grad []float64 // per-step gradients (the allreduce buffer)
 	x, y []float64 // this rank's data shard
-	sh   *shard
-	// gradLaunched flips after the first gradient launch: that pass (and
-	// only that pass) runs from the untouched initial weights and may use
-	// the shard's memoized step-0 gradient.
-	gradLaunched bool
+	// timingOnly mirrors the world's payload mode: no dataset, no weights,
+	// kernels that only fire their hooks.
+	timingOnly bool
 }
 
 // feature and label are the deterministic per-rank data shard (a fixed
@@ -104,74 +101,21 @@ func label(rank, i int) float64 {
 	return 0
 }
 
-// shardCache memoizes the pseudo-dataset per (rank, params). The shards are
-// pure functions of their key and read-only after construction, so sharing
-// them across models — and across concurrently simulated worlds — changes no
-// results; it only stops every benchmark point from re-evaluating Params
-// sines (which dominated model construction in profiles).
-var shardCache struct {
-	sync.Mutex
-	m map[[2]int]*shard
-}
-
-type shard struct {
-	x, y []float64
-	// grad0 is the gradient of the FIRST training step, memoized lazily:
-	// every variant on every topology starts from the same constant weights
-	// (w[i] = 0.1, set in newModel), so the step-0 gradient is a pure
-	// function of (rank, params) — unlike later steps, whose weights diverge
-	// per variant with the reduction order. The kernel's virtual-time cost
-	// comes from WaveTime either way; this only avoids recomputing identical
-	// sigmoids across the six variant×topology runs of each shard.
-	grad0     []float64
-	grad0Once sync.Once
-}
-
-// gradStep0 returns the memoized step-0 gradient, computing it on first use
-// with exactly the expressions (and therefore bits) of the gradient kernel.
-func (s *shard) gradStep0() []float64 {
-	s.grad0Once.Do(func() {
-		g := make([]float64, len(s.x))
-		const w0 = 0.1 // newModel's initial weight
-		for i, xi := range s.x {
-			pred := sigmoid(w0 * xi)
-			g[i] = (pred - s.y[i]) * xi
-		}
-		s.grad0 = g
-	})
-	return s.grad0
-}
-
-func dataShard(rank, params int) *shard {
-	key := [2]int{rank, params}
-	shardCache.Lock()
-	defer shardCache.Unlock()
-	if s := shardCache.m[key]; s != nil {
-		return s
-	}
-	s := &shard{x: make([]float64, params), y: make([]float64, params)}
-	for i := 0; i < params; i++ {
-		s.x[i] = feature(rank, i)
-		s.y[i] = label(rank, i)
-	}
-	if shardCache.m == nil {
-		shardCache.m = make(map[[2]int]*shard)
-	}
-	shardCache.m[key] = s
-	return s
-}
-
 func newModel(r *mpi.Rank, cfg Config) *model {
-	sh := dataShard(r.ID, cfg.Params)
 	m := &model{
 		r: r, cfg: cfg,
-		w:    r.Dev.Alloc(cfg.Params),
-		grad: r.Dev.Alloc(cfg.Params),
-		x:    sh.x,
-		y:    sh.y,
-		sh:   sh,
+		w:          r.Dev.Alloc(cfg.Params),
+		grad:       r.Dev.Alloc(cfg.Params),
+		timingOnly: r.W.K.TimingOnly(),
 	}
+	if m.timingOnly {
+		return m
+	}
+	m.x = make([]float64, cfg.Params)
+	m.y = make([]float64, cfg.Params)
 	for i := 0; i < cfg.Params; i++ {
+		m.x[i] = feature(r.ID, i)
+		m.y[i] = label(r.ID, i)
 		m.w[i] = 0.1
 	}
 	return m
@@ -180,68 +124,68 @@ func newModel(r *mpi.Rank, cfg Config) *model {
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
 // gradientSpec builds the BCE gradient kernel. onBlockDone hooks the
-// partitioned variant's device-side Pready.
+// partitioned variant's device-side Pready; a timing-only model's kernel
+// runs only that hook.
 func (m *model) gradientSpec(onBlockDone func(b *gpu.BlockCtx)) gpu.KernelSpec {
-	// The first launch computes from the constant initial weights; its
-	// result is shared across variants through the shard memo, resolved here
-	// on the host (kernel bodies stay free of host-side constructs like the
-	// memo's sync.Once).
-	var grad0 []float64
-	if !m.gradLaunched {
-		grad0 = m.sh.gradStep0()
-	}
-	m.gradLaunched = true
-	return gpu.KernelSpec{
+	spec := gpu.KernelSpec{
 		Name:     "bce-grad",
 		Grid:     m.cfg.Params / m.cfg.BlockSize,
 		Block:    m.cfg.BlockSize,
 		WaveTime: m.r.W.Model.ScaledWaveTime(bceOps),
-		Body: func(b *gpu.BlockCtx) {
-			// The block's threads cover one contiguous range (Params is a
-			// multiple of BlockSize); iterating equal-length subslices lets
-			// the compiler drop the per-element bounds checks that dominated
-			// this kernel in profiles. Same expressions, same rounding.
-			lo := b.ThreadBase()
-			hi := lo + b.Dim
-			if grad0 != nil {
-				copy(m.grad[lo:hi], grad0[lo:hi])
-			} else {
-				w, x, y, g := m.w[lo:hi], m.x[lo:hi], m.y[lo:hi], m.grad[lo:hi]
-				for i, wi := range w {
-					pred := sigmoid(wi * x[i])
-					g[i] = (pred - y[i]) * x[i]
-				}
-			}
-			if onBlockDone != nil {
-				onBlockDone(b)
-			}
-		},
 	}
+	if m.timingOnly {
+		spec.Body = onBlockDone
+		return spec
+	}
+	spec.Body = func(b *gpu.BlockCtx) {
+		// The block's threads cover one contiguous range (Params is a
+		// multiple of BlockSize); iterating equal-length subslices lets the
+		// compiler drop the per-element bounds checks that dominated this
+		// kernel in profiles. Same expressions, same rounding.
+		lo := b.ThreadBase()
+		hi := lo + b.Dim
+		w, x, y, g := m.w[lo:hi], m.x[lo:hi], m.y[lo:hi], m.grad[lo:hi]
+		for i, wi := range w {
+			pred := sigmoid(wi * x[i])
+			g[i] = (pred - y[i]) * x[i]
+		}
+		if onBlockDone != nil {
+			onBlockDone(b)
+		}
+	}
+	return spec
 }
 
 // updateSpec builds the SGD update kernel: w -= lr * grad / P (the
 // allreduce sums, the update averages).
 func (m *model) updateSpec() gpu.KernelSpec {
-	invP := 1.0 / float64(m.r.Size())
-	return gpu.KernelSpec{
+	spec := gpu.KernelSpec{
 		Name:     "sgd-update",
 		Grid:     m.cfg.Params / m.cfg.BlockSize,
 		Block:    m.cfg.BlockSize,
 		WaveTime: m.r.W.Model.ScaledWaveTime(1.5),
-		Body: func(b *gpu.BlockCtx) {
-			lo := b.ThreadBase()
-			w, g := m.w[lo:lo+b.Dim], m.grad[lo:lo+b.Dim]
-			for i := range w {
-				w[i] -= LearningRate * g[i] * invP
-			}
-		},
 	}
+	if m.timingOnly {
+		return spec
+	}
+	invP := 1.0 / float64(m.r.Size())
+	spec.Body = func(b *gpu.BlockCtx) {
+		lo := b.ThreadBase()
+		w, g := m.w[lo:lo+b.Dim], m.grad[lo:lo+b.Dim]
+		for i := range w {
+			w[i] -= LearningRate * g[i] * invP
+		}
+	}
+	return spec
 }
 
 func (m *model) stats(elapsed sim.Duration) Stats {
-	sum := 0.0
-	for _, v := range m.w {
-		sum += v
+	sum := math.NaN() // a timing-only model has no weights to sum
+	if !m.timingOnly {
+		sum = 0
+		for _, v := range m.w {
+			sum += v
+		}
 	}
 	return Stats{
 		Elapsed:   elapsed,

@@ -16,7 +16,6 @@ package gpu
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"mpipart/internal/cluster"
@@ -38,7 +37,27 @@ var slabPool struct {
 	bySize map[int][][]float64
 }
 
-var slabPoolOff = os.Getenv("MPIPART_NO_SLAB_POOL") != ""
+// lengthOnly is the shared backing of every timing-only buffer: one
+// zeroed array, grown to the largest length requested and never written.
+// Timing-only worlds (sim.Kernel.SetTimingOnly) skip every payload write,
+// so concurrently simulated worlds can alias it freely; under -race any
+// write that escapes the gating shows up as a data race on it.
+var lengthOnly struct {
+	sync.Mutex
+	buf []float64
+}
+
+// LengthOnly returns a length-n buffer aliasing the shared zero backing.
+// It carries only its length — what the cost models read — and must never
+// be written.
+func LengthOnly(n int) []float64 {
+	lengthOnly.Lock()
+	defer lengthOnly.Unlock()
+	if len(lengthOnly.buf) < n {
+		lengthOnly.buf = make([]float64, n)
+	}
+	return lengthOnly.buf[:n:n]
+}
 
 // Device is one simulated Hopper GPU (the accelerator half of a GH200
 // superchip).
@@ -85,8 +104,12 @@ func NewDevice(k *sim.Kernel, m *cluster.Model, f *fabric.Fabric, id int) *Devic
 // make(). Allocation time is not modeled (cudaMalloc happens at setup,
 // outside every timed region in the paper). Buffers come from the global
 // recycling pool when an exact-size slab is available; the explicit clear
-// below restores make() semantics bit for bit.
+// below restores make() semantics bit for bit. A timing-only world gets a
+// LengthOnly buffer instead, which never enters the pool.
 func (d *Device) Alloc(n int) []float64 {
+	if d.K.TimingOnly() {
+		return LengthOnly(n)
+	}
 	var buf []float64
 	slabPool.Lock()
 	if slabs := slabPool.bySize[n]; len(slabs) > 0 {
@@ -111,7 +134,7 @@ func (d *Device) Alloc(n int) []float64 {
 // extracting scalar metrics); after Release the buffers' contents are
 // undefined.
 func (d *Device) Release() {
-	if len(d.allocs) == 0 || slabPoolOff {
+	if len(d.allocs) == 0 {
 		return
 	}
 	slabPool.Lock()

@@ -113,13 +113,17 @@ func (b *BlockCtx) WriteDeviceFlag(f *Flags, i int, v int64) {
 //
 // The source slice is read at delivery time: MPI Partitioned semantics
 // forbid the sender from mutating a partition between Pready and the end of
-// the epoch, so the contents are stable over the transfer.
+// the epoch, so the contents are stable over the transfer. A timing-only
+// world charges the transfer and runs then, but moves no data.
 func (b *BlockCtx) RemoteCopy(pipe *sim.Pipe, dst, src []float64, then func()) {
 	if len(dst) < len(src) {
 		panic("gpu: RemoteCopy destination shorter than source")
 	}
+	payload := !b.stream.dev.K.TimingOnly()
 	pipe.TransferThen(int64(8*len(src)), func() {
-		copy(dst, src)
+		if payload {
+			copy(dst, src)
+		}
 		if then != nil {
 			then()
 		}

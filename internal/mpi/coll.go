@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"mpipart/internal/gpu"
 	"mpipart/internal/sim"
 )
 
@@ -65,15 +66,25 @@ func (r *Rank) Allreduce(p *sim.Proc, buf []float64, op ReduceOp) {
 	reduceCost := sim.Duration(float64(bytes) / r.W.Model.CPUReduceBytesPerSec * 1e9)
 	if r.ID == 0 {
 		// Linear reduce at root: receive and fold each peer in turn. The
-		// receive scratch lives on the rank and is reused across calls.
-		if cap(r.arTmp) < n {
-			r.arTmp = make([]float64, n)
+		// receive scratch lives on the rank and is reused across calls; a
+		// timing-only world receives into a length-only view and folds
+		// nothing.
+		payload := !r.W.K.TimingOnly()
+		var tmp []float64
+		if payload {
+			if cap(r.arTmp) < n {
+				r.arTmp = make([]float64, n)
+			}
+			tmp = r.arTmp[:n]
+		} else {
+			tmp = gpu.LengthOnly(n)
 		}
-		tmp := r.arTmp[:n]
 		for src := 1; src < P; src++ {
 			r.RecvHostBuf(p, src, allreduceTagBase+src, tmp)
 			p.Wait(reduceCost)
-			op.Apply(buf, tmp)
+			if payload {
+				op.Apply(buf, tmp)
+			}
 		}
 		// Linear bcast of the result (buf is not mutated after this point,
 		// so the in-flight sends read stable data).

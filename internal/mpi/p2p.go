@@ -83,15 +83,18 @@ func (r *Rank) isend(p *sim.Proc, dst, tag int, buf []float64, host bool) *Op {
 	op := &Op{done: sim.NewGate(r.W.K, fmt.Sprintf("send %d->%d tag %d", r.ID, dst, tag)), bytes: int64(8 * len(buf))}
 	send := &pendingOp{buf: buf, op: op, rank: r, host: host}
 	if op.bytes <= r.W.Model.EagerThresholdBytes {
-		// Eager protocol: snapshot the payload and complete the send
-		// locally; the copy is delivered to the receiver on match. Small
-		// *device* payloads crossing nodes are first staged through host
-		// memory (CUDA-aware eager path over InfiniBand).
+		// Eager protocol: snapshot the payload (a timing-only world has
+		// none to snapshot) and complete the send locally; the copy is
+		// delivered to the receiver on match. Small *device* payloads
+		// crossing nodes are first staged through host memory (CUDA-aware
+		// eager path over InfiniBand).
 		if !host && !r.W.Topo.SameNode(r.ID, dst) {
 			p.Wait(r.W.Model.GPUEagerStagingCost)
 		}
 		send.eager = true
-		send.buf = append([]float64(nil), buf...)
+		if !r.W.K.TimingOnly() {
+			send.buf = append([]float64(nil), buf...)
+		}
 		op.done.Open()
 	}
 	w := r.W
@@ -136,9 +139,12 @@ func (w *World) startTransfer(send, recv *pendingOp, key msgKey) {
 	if send.host || recv.host {
 		route = w.F.ControlRoute(srcGPU, dstGPU)
 	}
+	payload := !w.K.TimingOnly()
 	deliver := func() {
 		route.TransferThen(int64(8*len(send.buf)), func() {
-			copy(recv.buf, send.buf)
+			if payload {
+				copy(recv.buf, send.buf)
+			}
 			send.op.done.Open()
 			recv.op.done.Open()
 		})

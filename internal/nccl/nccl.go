@@ -114,6 +114,7 @@ func (c *Comm) runRing(p *sim.Proc, o *ringOp, me int) {
 	next := (me + 1) % P
 	steps := 2 * (P - 1)
 	route := c.w.F.Route(me, next)
+	payload := !c.w.K.TimingOnly()
 
 	for step := 0; step < steps; step++ {
 		sc := (me + 2*P - step) % P
@@ -140,10 +141,12 @@ func (c *Comm) runRing(p *sim.Proc, o *ringOp, me int) {
 		if step < P-1 {
 			// Fused reduction at HBM bandwidth — no launch, no sync.
 			p.Wait(sim.Duration(float64(8*len(in)) / FusedReduceBytesPerSec * 1e9))
-			for i := range in {
-				dst[i] += in[i]
+			if payload {
+				for i := range in {
+					dst[i] += in[i]
+				}
 			}
-		} else {
+		} else if payload {
 			copy(dst, in)
 		}
 		o.staging[me][step] = nil

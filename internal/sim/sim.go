@@ -395,6 +395,7 @@ type Kernel struct {
 	running    bool
 	rng        *rand.Rand
 	shuffle    *rand.Rand // non-nil = schedule-perturbation mode (never k.rng)
+	timingOnly bool       // payload-free world (SetTimingOnly)
 	stopped    bool
 	poisoned   bool // stopped kernel drained; parked procs unwind on wake
 	panicked   error
@@ -456,6 +457,24 @@ func NewKernel(seed int64) *Kernel {
 func (k *Kernel) ShuffleTieBreaks(seed int64) {
 	k.shuffle = rand.New(rand.NewSource(seed))
 }
+
+// SetTimingOnly switches the world this kernel drives into timing-only
+// payload mode: model code built on it (gpu, ucx, mpi, nccl, coll, dl)
+// skips every element-wise payload copy, fold and kernel-body arithmetic,
+// and device buffers become length-only views of one shared zero backing.
+// Virtual time, events and control-flow hooks are unchanged — they come
+// from byte counts and cost models, never from buffer contents — so only
+// callers that read no payload value may set it. Set it once, after
+// building the world and before spawning its ranks.
+func (k *Kernel) SetTimingOnly() {
+	if k.dispatched != 0 {
+		panic("sim: SetTimingOnly on a kernel that has already run")
+	}
+	k.timingOnly = true
+}
+
+// TimingOnly reports whether the kernel is in timing-only payload mode.
+func (k *Kernel) TimingOnly() bool { return k.timingOnly }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }

@@ -384,9 +384,14 @@ func (ep *Endpoint) PutPartitionCommit(k Rkey, part int, src []float64, cb func(
 	// completion semantics: the source buffer is reusable, the remote
 	// write is not yet guaranteed visible). Ordering of subsequent puts on
 	// the same endpoint is preserved by the pipe's FIFO (and, when staged
-	// deliveries fuse, by the group's append order).
+	// deliveries fuse, by the group's append order). A timing-only world
+	// still books the delivery event, but it moves no data.
+	deliver := noDelivery
+	if !ep.w.Ctx.K.TimingOnly() {
+		deliver = func() { copy(dst, src) }
+	}
 	if cb == nil {
-		ser, _ := ep.route.TransferStaged(int64(8*len(src)), nil, func() { copy(dst, src) })
+		ser, _ := ep.route.TransferStaged(int64(8*len(src)), nil, deliver)
 		ep.w.lazyComplete(ser)
 		return
 	}
@@ -394,8 +399,11 @@ func (ep *Endpoint) PutPartitionCommit(k Rkey, part int, src []float64, cb func(
 	ep.route.TransferStaged(int64(8*len(src)), func() {
 		w.outstanding--
 		w.queueCallback(cb)
-	}, func() { copy(dst, src) })
+	}, deliver)
 }
+
+// noDelivery is a timing-only put's delivery callback.
+func noDelivery() {}
 
 // PutFlag issues a small RMA put setting remote flag idx to val (the
 // receive-side completion signal UCX lacks natively, built as a chained
