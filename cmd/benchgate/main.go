@@ -9,10 +9,10 @@
 // Host wall time is recorded in the golden for reference and only
 // thresholded (-wall-factor), never compared exactly.
 //
-// Every run also refreshes a host-performance sidecar (BENCH_PERF.json by
-// default, -perf ” disables): wall time, scheduler dispatches,
-// dispatches/sec, plus the 100k-actor KernelScale smoke's live-actor count
-// and heap bytes/actor. Unlike the golden it is informational — it is how
+// With -perf FILE a run also writes a host-performance sidecar (off by
+// default, so a plain gate run leaves the committed BENCH_PERF.json alone):
+// wall time, scheduler dispatches, dispatches/sec, plus the 100k-actor
+// KernelScale smoke's live-actor count and heap bytes/actor. Unlike the golden it is informational — it is how
 // kernel perf work is measured without touching the gated virtual-time
 // metrics. With -perf-baseline the sidecar grows teeth: the fresh
 // dispatches/sec is compared against the committed baseline and the run
@@ -28,7 +28,7 @@
 //	benchgate -workers 8 | -seq                   # pool size (default GOMAXPROCS)
 //	benchgate -store sweep-store                  # persistent result cache
 //	benchgate -server http://127.0.0.1:7077       # gate against a sweepd daemon
-//	benchgate -perf BENCH_PERF.json               # host-perf sidecar (default)
+//	benchgate -perf BENCH_PERF.json               # (re)write the host-perf sidecar
 //	benchgate -perf-baseline BENCH_PERF.json      # fail on >25% dispatches/sec regression
 //	benchgate -cpuprofile cpu.pprof -memprofile mem.pprof
 //	benchgate -shuffle-seeds 16                   # schedule-invariance fuzz
@@ -82,7 +82,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS")
 		seq        = flag.Bool("seq", false, "sequential execution (same as -workers 1)")
 		wallFactor = flag.Float64("wall-factor", 10, "fail if host wall time exceeds this multiple of the golden's recorded wall time; 0 disables")
-		perf       = flag.String("perf", "BENCH_PERF.json", "write host-perf stats (wall time, dispatches/sec) to this file; '' disables")
+		perf       = flag.String("perf", "", "write host-perf stats (wall time, dispatches/sec) to this file; '' (default) disables")
 		perfBase   = flag.String("perf-baseline", "", "compare this run's dispatches/sec against this committed perf sidecar and fail on regression beyond -perf-regress")
 		perfReg    = flag.Float64("perf-regress", 25, "allowed dispatches/sec regression vs -perf-baseline, in percent; 0 disables")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the gate run to this file")

@@ -106,11 +106,22 @@ type CallSite struct {
 	InPanicArg bool
 	// Deferred marks `defer f(...)` sites (the call runs at function exit).
 	Deferred bool
-	// Spawned marks `go f(...)` sites: the callee runs on another
-	// goroutine, so its effects do not propagate to the spawner (the
+	// Spawned marks `go f(...)` sites and calls of the sim coroutine-spawn
+	// helper (coroSpawnHelper): the callee runs on another goroutine or
+	// coroutine, so its effects do not propagate to the spawner (the
 	// GoStmt itself is recorded as a SpawnsGoroutine intrinsic).
 	Spawned bool
 }
+
+// coroSpawnHelper is the sim kernel's coroutine-spawn helper, keyed
+// "Receiver.Method". A call of it wraps its function argument in a new
+// coroutine, the analogue of a go statement: the helper's own closure and
+// iter.Pull allocation are spawn cost, not the caller's per-call work. Its
+// arguments are still evaluated, and checked, in the caller, so a closure
+// literal handed to the helper on a hot path is still reported. racelock
+// roots such a site like a goroutine, which for a coroutine that only runs
+// while its resumer waits is conservative.
+const coroSpawnHelper = "Proc.start"
 
 // Program is the whole-program analysis state shared by the interprocedural
 // analyzers of one Run.
@@ -270,6 +281,11 @@ func (prog *Program) resolveCalls(node *FuncNode) {
 	visitCall = func(call *ast.CallExpr, inPanic, deferred, spawned bool) {
 		site := &CallSite{Call: call, Pos: call.Pos(), InPanicArg: inPanic, Deferred: deferred, Spawned: spawned}
 		isPanic := prog.resolveCallee(node, info, call, site)
+		for _, c := range site.Callees {
+			if isSimPkg(c.PkgPath) && calleeKey(c.RecvName, c.Name) == coroSpawnHelper {
+				site.Spawned = true
+			}
+		}
 		if len(site.Callees) > 0 || len(site.External) > 0 {
 			node.Calls = append(node.Calls, site)
 		}

@@ -186,7 +186,7 @@ func checkHotCallees(pass *Pass, fd *ast.FuncDecl, key string) {
 	}
 	for _, site := range node.Calls {
 		if site.InPanicArg || site.Spawned {
-			continue // cold diagnostic path / runs on another goroutine
+			continue // cold diagnostic path / spawned goroutine or coroutine
 		}
 		for _, callee := range site.Callees {
 			if callee.Lit != nil {

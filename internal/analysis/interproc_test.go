@@ -124,6 +124,56 @@ func (k *Kernel) dispatch() {
 			wantChain: []string{"sim.describe", "sim.describeDeep", "fmt.Sprintf"},
 		},
 		{
+			// Proc.start is the coroutine-spawn helper: like a go statement,
+			// its own closure is spawn cost, so a hot path reaching it with a
+			// method value stays silent.
+			name:     "hotpathalloc_coro_spawn_ok",
+			analyzer: "hotpathalloc",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/sim", files: map[string]string{"hp_fixture.go": `package sim
+type Proc struct{ next func() }
+type Task struct{ bridge *Proc }
+func (p *Proc) start(body func(p *Proc)) { p.next = func() { body(p) } }
+func (t *Task) loop(p *Proc) {}
+func newBridge(t *Task) *Proc {
+	p := &Proc{}
+	p.start(t.loop)
+	return p
+}
+func (t *Task) CallProc() {
+	if t.bridge == nil {
+		t.bridge = newBridge(t)
+	}
+}
+`}},
+			},
+		},
+		{
+			// A closure literal handed to the spawn helper is built by the
+			// caller, so the hot path reaching that caller is still reported.
+			name:     "hotpathalloc_coro_spawn_closure_bad",
+			analyzer: "hotpathalloc",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/sim", files: map[string]string{"hp_fixture.go": `package sim
+type Proc struct{ next func() }
+type Task struct{ bridge *Proc }
+func (p *Proc) start(body func(p *Proc)) { p.next = func() { body(p) } }
+func newBridge(t *Task) *Proc {
+	p := &Proc{}
+	p.start(func(p *Proc) { _ = t })
+	return p
+}
+func (t *Task) CallProc() {
+	if t.bridge == nil {
+		t.bridge = newBridge(t)
+	}
+}
+`}},
+			},
+			want:      []string{"call of sim.newBridge in scheduler hot path Task.CallProc allocates per call"},
+			wantChain: []string{"sim.newBridge", "closure literal"},
+		},
+		{
 			// The mutex is held across a helper that only parks the Proc two
 			// calls deeper.
 			name:     "lockedawait_transitive_two_hops",

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -63,7 +64,7 @@ func TestWaitUntilLoneTimerAllocFree(t *testing.T) {
 
 // TestWaitUntilParkedAllocFree pins the full park/handoff path: two procs
 // whose timers interleave, so every WaitUntil pushes a heap event, parks on
-// the wake channel and is resumed by the scheduler. Steady state must still
+// its coroutine and is resumed by the scheduler. Steady state must still
 // be allocation-free.
 func TestWaitUntilParkedAllocFree(t *testing.T) {
 	k := NewKernel(1)
@@ -248,9 +249,9 @@ func TestKernelScaleTaskAllocFree(t *testing.T) {
 }
 
 // TestStopReleasesParkedGoroutines is the regression test for the Stop leak:
-// abandoned procs used to stay parked on their wake channels forever, pinning
-// one goroutine (plus stack) per proc for the life of the process. Run on a
-// stopped kernel must drain them all.
+// abandoned procs used to stay parked forever, pinning one goroutine (plus
+// stack) per proc for the life of the process. Run on a stopped kernel must
+// drain them all.
 func TestStopReleasesParkedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
@@ -274,16 +275,10 @@ func TestStopReleasesParkedGoroutines(t *testing.T) {
 			t.Fatalf("round %d: %d procs still live after stopped Run", round, live)
 		}
 	}
-	// The drained goroutines are runnable (their wake channels were closed);
-	// give the Go scheduler a chance to run them to completion.
-	for i := 0; i < 1000; i++ {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		runtime.Gosched()
+	if !goroutinesBackTo(before + 2) {
+		t.Fatalf("goroutine leak: %d before, %d after stopped runs",
+			before, runtime.NumGoroutine())
 	}
-	t.Fatalf("goroutine leak: %d before, %d after stopped runs",
-		before, runtime.NumGoroutine())
 }
 
 // TestStopDuringEventCallback stops the kernel from an event callback rather
@@ -303,5 +298,82 @@ func TestStopDuringEventCallback(t *testing.T) {
 	}
 	if k.Now() != 5 {
 		t.Fatalf("clock = %v, want 5", k.Now())
+	}
+}
+
+// goroutinesBackTo reports whether the goroutine count returns to at most
+// want, giving exiting goroutines a chance to finish.
+func goroutinesBackTo(want int) bool {
+	for i := 0; i < 1000; i++ {
+		if runtime.NumGoroutine() <= want {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
+// TestRunReleasesParkedGoroutines extends the Stop leak test to every other
+// way Run returns. Daemon procs parked at clean completion, a Task's idle
+// CallProc bridge, the blocked procs of a deadlock and the survivors of a
+// proc panic must all be drained, leaving no live procs and no goroutines.
+func TestRunReleasesParkedGoroutines(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func(k *Kernel)
+		wantErr string
+	}{
+		{"completed", func(k *Kernel) {
+			c := NewCond(k, "idle")
+			for i := 0; i < 10; i++ {
+				k.GoDaemon("daemon", func(p *Proc) { c.Wait(p) })
+			}
+			k.SpawnTaskDaemon("bridged", func(t *Task) {
+				t.CallProc(func(p *Proc) { p.Wait(5) })
+				t.Then(func(t *Task) { c.Await(t) }) // leaves the bridge parked idle
+			})
+			k.Go("worker", func(p *Proc) { p.Wait(10) })
+		}, ""},
+		{"deadlock", func(k *Kernel) {
+			c := NewCond(k, "never")
+			for i := 0; i < 10; i++ {
+				k.Go("stuck", func(p *Proc) { c.Wait(p) })
+			}
+			k.GoDaemon("daemon", func(p *Proc) { c.Wait(p) })
+		}, "stuck[blocked on cond:never]"},
+		{"panic", func(k *Kernel) {
+			c := NewCond(k, "never")
+			for i := 0; i < 10; i++ {
+				k.Go("parked", func(p *Proc) { c.Wait(p) })
+			}
+			k.Go("timed", func(p *Proc) { p.Wait(1 << 40) })
+			k.Go("boom", func(p *Proc) {
+				p.Wait(1)
+				k.Go("never-ran", func(p *Proc) { c.Wait(p) })
+				panic("boom")
+			})
+		}, `proc "boom" panicked: boom`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for round := 0; round < 3; round++ {
+				k := NewKernel(int64(round))
+				tc.build(k)
+				err := k.Run()
+				if tc.wantErr == "" && err != nil {
+					t.Fatal(err)
+				}
+				if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+					t.Fatalf("Run error = %v, want it to contain %q", err, tc.wantErr)
+				}
+				if live := k.LiveProcs(); live != 0 {
+					t.Fatalf("round %d: %d procs still live after Run", round, live)
+				}
+			}
+			if !goroutinesBackTo(before) {
+				t.Fatalf("goroutine leak: %d before, %d after three runs", before, runtime.NumGoroutine())
+			}
+		})
 	}
 }

@@ -5,7 +5,7 @@ package sim
 // benchgate wall time. The four workloads cover the distinct hot paths:
 //
 //   - TimerChurn:          WaitUntil + timer event dispatch + proc handoff
-//   - EventChurn:          pure event-callback dispatch (no goroutine handoff)
+//   - EventChurn:          pure event-callback dispatch (no proc handoff)
 //   - ProcPingPong:        Cond signal/wake alternation between two procs
 //   - CondBroadcastStorm:  one broadcast waking a wide waiter set
 //   - MixedWorkload:       queue + pipe + timers together (realistic shape)

@@ -207,6 +207,7 @@ func (s *Shards) run(concurrent bool) error {
 	defer func() {
 		for _, k := range s.ks {
 			k.running = false
+			k.drain()
 			k.flushCounters()
 		}
 	}()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -174,5 +175,36 @@ func TestSharedTracerAcrossShards(t *testing.T) {
 	}
 	if got := tr.Len(); got != 4*perShard {
 		t.Errorf("tracer recorded %d events, want %d", got, 4*perShard)
+	}
+}
+
+// TestShardsRunReleasesParkedGoroutines is the Shards counterpart of
+// TestRunReleasesParkedGoroutines: daemon procs parked in every shard when
+// the windows run dry must be drained by both Run and RunSerial.
+func TestShardsRunReleasesParkedGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, serial := range []bool{false, true} {
+		s := NewShards(3, 1, 100)
+		for i := 0; i < s.N(); i++ {
+			k := s.Shard(i)
+			c := NewCond(k, "idle")
+			k.GoDaemon("daemon", func(p *Proc) { c.Wait(p) })
+			k.Go("worker", func(p *Proc) { p.Wait(50) })
+		}
+		run := s.Run
+		if serial {
+			run = s.RunSerial
+		}
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.N(); i++ {
+			if live := s.Shard(i).LiveProcs(); live != 0 {
+				t.Fatalf("serial=%v: shard %d has %d procs live after Run", serial, i, live)
+			}
+		}
+	}
+	if !goroutinesBackTo(before) {
+		t.Fatalf("goroutine leak: %d before, %d after sharded runs", before, runtime.NumGoroutine())
 	}
 }

@@ -1,9 +1,9 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel. It is the substrate on which the whole GH200 testbed
 // reproduction runs: every simulated actor (MPI rank host thread, MPI
-// progression engine, GPU stream, NIC pipe) is a Proc — a goroutine that is
-// scheduled cooperatively, exactly one at a time, under a virtual nanosecond
-// clock.
+// progression engine, GPU stream, NIC pipe) is a Proc — a stdlib coroutine
+// (iter.Pull) that the scheduler resumes directly, exactly one at a time,
+// under a virtual nanosecond clock — or a continuation Task (task.go).
 //
 // The design follows the classic SimPy "process interaction" model:
 //
@@ -185,20 +185,24 @@ func (r blockReason) String() string {
 	return ""
 }
 
-// procPoison unwinds a parked proc's goroutine when its kernel is drained
-// after Stop. It is recovered — and swallowed — by the spawn wrapper, so
-// user defers run and the goroutine (with its stack) is freed instead of
-// staying parked on its wake channel forever.
+// procPoison unwinds a parked proc's coroutine when Run drains its kernel.
+// It is recovered — and swallowed — by Proc.exit (the bridge loop's own
+// defer for bridge procs), so user defers run and the coroutine (with its
+// stack) is freed instead of staying parked.
 type procPoison struct{}
 
-// Proc is a simulated process. All methods must be called from the goroutine
-// running the Proc body (they yield control to the scheduler).
+// Proc is a simulated process: a stdlib coroutine the scheduler resumes
+// with next and that parks itself with yield, so a wake is a direct
+// coroutine switch rather than a goroutine handoff. All methods must be
+// called from inside the Proc body (they yield control to the scheduler).
 type Proc struct {
 	k       *Kernel
 	name    string // prefix; nameID >= 0 appends a lazily-rendered integer
 	nameID  int
 	id      int
-	wake    chan struct{}
+	next    func() (struct{}, bool) // resume until the next park; false once done
+	stop    func()                  // unwind a parked body (drain)
+	yield   func(struct{}) bool     // park; false once stop was called
 	state   procState
 	reason  blockReason // diagnostic: what the proc is blocked on
 	liveIdx int         // index into k.live, for O(1) reap
@@ -342,11 +346,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-type yieldMsg struct {
-	p     *Proc
-	ended bool
-}
-
 // totalDispatched aggregates scheduler dispatches across every kernel in the
 // process (updated once per Run, not per event). cmd/benchgate reads it to
 // report events/sec.
@@ -387,7 +386,6 @@ type Kernel struct {
 	// Shards bounded-lag execution; maxTime means unwindowed.
 	windowEnd Time
 
-	yieldCh    chan yieldMsg
 	seq        uint64
 	nextID     int
 	live       []*Proc // all non-done procs, for deadlock diagnostics
@@ -397,7 +395,6 @@ type Kernel struct {
 	shuffle    *rand.Rand // non-nil = schedule-perturbation mode (never k.rng)
 	timingOnly bool       // payload-free world (SetTimingOnly)
 	stopped    bool
-	poisoned   bool // stopped kernel drained; parked procs unwind on wake
 	panicked   error
 	tracer     *Tracer
 	dispatched int64 // proc resumes + event callbacks, for perf reporting
@@ -427,7 +424,6 @@ func SetShuffleSeed(seed int64) { shuffleSeed.Store(seed) }
 // mode.
 func NewKernel(seed int64) *Kernel {
 	k := &Kernel{
-		yieldCh:   make(chan yieldMsg),
 		rng:       rand.New(rand.NewSource(seed)),
 		windowEnd: maxTime,
 	}
@@ -551,40 +547,27 @@ func (k *Kernel) GoID(prefix string, id int, body func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, nameID int, body func(p *Proc)) *Proc {
-	k.nextID++
-	p := &Proc{
-		k:       k,
-		name:    name,
-		nameID:  nameID,
-		id:      k.nextID,
-		wake:    make(chan struct{}),
-		state:   stateNew,
-		liveIdx: len(k.live),
-		dom:     k.cur,
-	}
-	k.live = append(k.live, p)
-	go func() {
-		<-p.wake // first dispatch
-		if k.poisoned {
-			return // kernel was stopped and drained before this proc ran
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if _, poison := r.(procPoison); poison {
-					// Stopped-kernel drain: the scheduler is gone; exit
-					// without touching the yield channel.
-					return
-				}
-				if k.panicked == nil {
-					k.panicked = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
-				}
-			}
-			p.state = stateDone
-			k.yieldCh <- yieldMsg{p: p, ended: true}
-		}()
-		body(p)
-	}()
+	p := k.newProc(name, nameID, k.cur)
+	p.start(body)
 	k.ready(p)
+	return p
+}
+
+// exit is deferred around every proc body (start): it swallows drain's
+// poison unwind and records any other panic as the kernel's error.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, poison := r.(procPoison); !poison && p.k.panicked == nil {
+			p.k.panicked = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
+		}
+	}
+}
+
+// newProc registers a not-yet-started proc in the live set.
+func (k *Kernel) newProc(name string, nameID, dom int) *Proc {
+	k.nextID++
+	p := &Proc{k: k, name: name, nameID: nameID, id: k.nextID, liveIdx: len(k.live), dom: dom}
+	k.live = append(k.live, p)
 	return p
 }
 
@@ -619,8 +602,8 @@ func (k *Kernel) ready(p *Proc) {
 	k.domOf(p.dom).runq.push(actorRef{p: p})
 }
 
-// resume hands control to p and waits until it yields back (by blocking or
-// finishing).
+// resume switches to p's coroutine and returns when it yields back (by
+// blocking or finishing).
 func (k *Kernel) resume(p *Proc) {
 	k.dispatched++
 	k.handoff(p)
@@ -632,20 +615,16 @@ func (k *Kernel) resume(p *Proc) {
 // counting it again would inflate dispatches/sec.
 func (k *Kernel) handoff(p *Proc) {
 	p.state = stateRunning
-	p.wake <- struct{}{}
-	msg := <-k.yieldCh
-	if msg.p != p {
-		panic("sim: yield from unexpected proc " + msg.p.Name())
-	}
-	if msg.ended {
+	if _, ok := p.next(); !ok {
 		k.reap(p)
 	}
 }
 
-// reap removes p from the live set in O(1): the tail proc is swapped into
-// p's slot (every proc carries its own live index), replacing the previous
-// linear scan plus copy.
+// reap marks a finished p done and removes it from the live set in O(1):
+// the tail proc is swapped into p's slot (every proc carries its own live
+// index), replacing the previous linear scan plus copy.
 func (k *Kernel) reap(p *Proc) {
+	p.state = stateDone
 	i := p.liveIdx
 	last := len(k.live) - 1
 	k.live[i] = k.live[last]
@@ -655,21 +634,14 @@ func (k *Kernel) reap(p *Proc) {
 	p.liveIdx = -1
 }
 
-// block is called from inside a Proc: it returns control to the scheduler
-// and parks until the proc is next made ready. On a poisoned (stopped and
-// drained) kernel it unwinds the proc instead, so the goroutine exits.
+// block is called from inside a Proc: it yields control back to the
+// scheduler and parks until the proc is next resumed. Once drain has called
+// stop — here or in a defer running during that unwind — yield returns
+// false and the proc unwinds instead, so its coroutine exits.
 func (p *Proc) block(state procState, on blockReason) {
-	k := p.k
-	if k.poisoned {
-		// A defer running during a poison unwind re-entered the scheduler;
-		// nobody is listening on the yield channel any more.
-		panic(procPoison{})
-	}
 	p.state = state
 	p.reason = on
-	k.yieldCh <- yieldMsg{p: p}
-	<-p.wake
-	if k.poisoned {
+	if !p.yield(struct{}{}) {
 		panic(procPoison{})
 	}
 }
@@ -690,8 +662,8 @@ func (p *Proc) WaitUntil(t Time) {
 	k := p.k
 	if t <= k.now {
 		// Fused fast path: with no ready peers and no pending events, a
-		// zero-length wait would bounce through the scheduler (two channel
-		// handoffs) only to be resumed immediately with the clock unmoved.
+		// zero-length wait would bounce through the scheduler (two coroutine
+		// switches) only to be resumed immediately with the clock unmoved.
 		if k.noReady() && k.noEvents() {
 			return
 		}
@@ -704,7 +676,7 @@ func (p *Proc) WaitUntil(t Time) {
 		// wake would get wake phase and the newest seq — so that case takes
 		// the slow path. Under a Shards bounded-lag window the clock must
 		// not jump past windowEnd, where an unseen cross-domain event may
-		// land.) Do the forced move in place, skipping both handoffs.
+		// land.) Do the forced move in place, skipping both switches.
 		k.now = t
 		return
 	}
@@ -759,7 +731,8 @@ func (k *Kernel) dispatch(e event) {
 // Run executes the simulation until no process is runnable and no events are
 // pending. It returns an error if live processes remain blocked with nothing
 // to wake them (a simulated deadlock), with a description of every blocked
-// process.
+// process. However it returns — completion, Stop, deadlock or a panic — Run
+// drains the procs still parked, so no goroutine outlives it.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: Run called re-entrantly")
@@ -767,6 +740,7 @@ func (k *Kernel) Run() error {
 	k.running = true
 	defer func() {
 		k.running = false
+		k.drain()
 		k.flushCounters()
 	}()
 	if k.extra == nil {
@@ -778,10 +752,7 @@ func (k *Kernel) Run() error {
 		return k.panicked
 	}
 	if k.stopped {
-		// A stopped kernel abandons blocked procs by design; drain releases
-		// their goroutines so the kernel is fully collectable.
-		k.drain()
-		return nil
+		return nil // a stopped kernel abandons blocked procs by design
 	}
 	for _, p := range k.live {
 		if !p.daemon {
@@ -829,21 +800,19 @@ func (k *Kernel) runSingle() {
 }
 
 // Stop terminates the simulation at the end of the current dispatch. Blocked
-// procs are abandoned: when Run returns it poisons and wakes each one so its
-// goroutine unwinds and exits (previously they stayed parked forever,
-// pinning one goroutine plus stack per abandoned proc for the life of the
-// process). Intended for benchmarks that only need a prefix of the simulated
-// execution.
+// procs are abandoned: Run drains them on return. Intended for benchmarks
+// that only need a prefix of the simulated execution.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// drain releases every parked proc of a stopped kernel. Closing the wake
-// channel wakes the proc wherever it is parked; block (or the first-dispatch
-// wrapper) observes the poisoned flag and unwinds via a poison panic that
-// the spawn wrapper swallows. After drain the kernel holds no goroutines.
+// drain releases every proc still live when Run returns: leftover daemons
+// and bridge procs, deadlocked or abandoned procs. stop unwinds a parked
+// coroutine — block panics procPoison, which Proc.exit swallows — and
+// discards one that never ran. After drain the kernel holds no
+// goroutines, and a drained proc readied later panics instead of running.
 func (k *Kernel) drain() {
-	k.poisoned = true
 	for _, p := range k.live {
-		close(p.wake)
+		p.stop()
+		p.state = stateDone
 	}
 	k.live = nil
 	// Tasks hold no goroutines; dropping the live set abandons them.
@@ -881,8 +850,8 @@ func (k *Kernel) describeBlocked() string {
 	return b.String()
 }
 
-// LiveProcs returns the number of processes that have not finished. After a
-// stopped Run it reports zero: abandoned procs are drained, not live.
+// LiveProcs returns the number of processes that have not finished. After
+// Run returns it reports zero: leftover procs are drained, not live.
 func (k *Kernel) LiveProcs() int { return len(k.live) }
 
 // LiveTasks returns the number of continuation Tasks that have not finished.

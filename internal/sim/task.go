@@ -16,8 +16,8 @@ import (
 // Task's Sleep replicates WaitUntil's fused fast paths decision-for-decision
 // — so converting an actor from Proc to Task leaves every virtual-time trace
 // bit-identical. What changes is the host cost: a parked Task is three words
-// in an event struct instead of an 8 KB goroutine stack, and a dispatch is a
-// direct function call instead of two channel handoffs.
+// in an event struct instead of a coroutine stack, and a dispatch is a
+// direct function call instead of two coroutine switches.
 
 // TaskFn is one step of a Task state machine. A step runs to completion on
 // the scheduler's own goroutine; before returning it arms what happens next
@@ -63,11 +63,11 @@ type Task struct {
 	dom     int    // owning virtual-time domain (0 unless sharded)
 	rseq    uint64 // global ready stamp, set by readyTask(); merge-order key
 
-	// Goroutine escape hatch: CallProc runs a blocking func(p *Proc) body on
+	// Coroutine escape hatch: CallProc runs a blocking func(p *Proc) body on
 	// a lazily created, persistent bridge proc owned by this Task.
 	bridge   *Proc
 	bridgeFn func(p *Proc)
-	onBridge bool // the trampoline is currently running on the bridge goroutine
+	onBridge bool // the trampoline is currently running on the bridge proc
 }
 
 // Kernel returns the simulation kernel this Task belongs to.
@@ -304,8 +304,8 @@ func (t *Task) park(on blockReason) {
 
 // CallProc runs fn — arbitrary imperative code that may block with
 // Proc-style Wait/Cond.Wait calls — on the Task's bridge proc, a persistent
-// helper goroutine created lazily on first use. When fn returns, the Task's
-// armed continuation runs (on the bridge goroutine, so no extra handoff or
+// helper coroutine created lazily on first use. When fn returns, the Task's
+// armed continuation runs (on the bridge proc, so no extra handoff or
 // dispatch is spent). The bridge is how Task actors drive legacy blocking
 // code (collective progress, fused NCCL ops) without converting it; its
 // parks and wakes land on the same event heap slots the code's previous
@@ -326,50 +326,31 @@ func (t *Task) CallProc(fn func(p *Proc)) {
 	t.reason = blockReason{kind: blockCond, name: "bridge"}
 }
 
-// newBridgeProc creates the persistent bridge goroutine for t. It does NOT
-// go through Go: the bridge must never join the run queue on its own (that
+// newBridgeProc creates the persistent bridge proc for t. It does NOT go
+// through Go: the bridge must never join the run queue on its own (that
 // would perturb the schedule) — it is resumed only by direct handoff from
 // stepTask and by the timer/cond wakes its blocking body arms.
 func (k *Kernel) newBridgeProc(t *Task) *Proc {
-	k.nextID++
-	p := &Proc{
-		k:       k,
-		name:    t.name,
-		nameID:  t.nameID,
-		id:      k.nextID,
-		wake:    make(chan struct{}),
-		state:   stateNew,
-		liveIdx: len(k.live),
-		daemon:  true,
-		dom:     t.dom,
-	}
-	k.live = append(k.live, p)
-	go k.bridgeLoop(t, p)
+	p := k.newProc(t.name, t.nameID, t.dom)
+	p.daemon = true
+	p.start(t.bridgeLoop)
 	return p
 }
 
 // bridgeLoop is the bridge proc's body: run the armed blocking call, then
-// continue the owning Task's state machine in place, and park idle until the
-// next CallProc handoff. Running the trampoline here means a Task step that
+// continue the Task's state machine in place, and park idle until the next
+// CallProc handoff. Running the trampoline here means a Task step that
 // immediately arms another CallProc is picked up iteratively with no
-// scheduler round trip — the same control flow a goroutine actor had when it
+// scheduler round trip — the same control flow a proc actor had when it
 // called two blocking operations back to back.
-func (k *Kernel) bridgeLoop(t *Task, p *Proc) {
-	<-p.wake // first handoff delivers the first bridged call
-	if k.poisoned {
-		return
-	}
+func (t *Task) bridgeLoop(p *Proc) {
+	k := t.k
 	defer func() {
 		if r := recover(); r != nil {
-			if _, poison := r.(procPoison); poison {
-				return
-			}
-			if k.panicked == nil {
+			if _, poison := r.(procPoison); !poison && k.panicked == nil {
 				k.panicked = &taskPanicError{t: t, val: r}
 			}
 		}
-		p.state = stateDone
-		k.yieldCh <- yieldMsg{p: p, ended: true}
 	}()
 	for {
 		fn := t.bridgeFn
@@ -385,7 +366,7 @@ func (k *Kernel) bridgeLoop(t *Task, p *Proc) {
 	}
 }
 
-// continueBridged runs the Task trampoline on the bridge goroutine after a
+// continueBridged runs the Task trampoline on the bridge proc after a
 // bridged call returns. The scheduler is parked in a handoff for the whole
 // time, so exactly one actor still runs at any instant.
 func (k *Kernel) continueBridged(t *Task) {
