@@ -32,7 +32,6 @@
 //	benchgate -perf-baseline BENCH_PERF.json      # fail on >25% dispatches/sec regression
 //	benchgate -cpuprofile cpu.pprof -memprofile mem.pprof
 //	benchgate -shuffle-seeds 16                   # schedule-invariance fuzz
-//	benchgate -domains 2                          # shard worlds into N virtual-time domains
 //
 // With -store DIR the runner is backed by the persistent content-addressed
 // store (internal/runner/store): a warm store replays the whole gate without
@@ -41,12 +40,6 @@
 // here — the third execution mode that must also gate byte-identically. The
 // perf sidecar and shuffle fuzz measure local execution, so -server skips
 // the sidecar and refuses -shuffle-seeds.
-//
-// With -domains N every simulated world shards its kernel into up to N
-// per-node virtual-time domains (the in-kernel merged scheduler). The
-// merge is byte-identity-preserving by construction, so the SAME golden
-// file gates every domain count — the flag exists to prove exactly that,
-// plus record the per-domain dispatch breakdown in the perf sidecar.
 //
 // With -shuffle-seeds N the gate additionally re-runs the entire sweep N
 // times under seeded schedule perturbation (sim.SetShuffleSeed): same-time
@@ -95,9 +88,6 @@ func main() {
 			"re-run the sweep under N schedule-perturbation seeds and require byte-identical goldens; 0 disables")
 		shuffleReport = flag.String("shuffle-report", "",
 			"write the schedule-invariance failure diff to this file (with -shuffle-seeds)")
-
-		domains = flag.Int("domains", 1,
-			"shard every simulated world into up to N per-node virtual-time domains; the golden must hold at any value")
 	)
 	flag.Parse()
 	if *write != "" && *check != "" {
@@ -114,10 +104,6 @@ func main() {
 	if *seq {
 		*workers = 1
 	}
-	if *domains < 1 {
-		*domains = 1
-	}
-	sim.SetDefaultDomains(*domains)
 	if *server != "" {
 		if *storeDir != "" {
 			fmt.Fprintln(os.Stderr, "benchgate: -store and -server are mutually exclusive (the daemon owns its store)")
@@ -157,7 +143,6 @@ func main() {
 	}
 	d0 := sim.TotalDispatched()
 	e0 := sim.TotalElided()
-	pd0 := sim.TotalDispatchedByDomain()
 	t0 := time.Now()
 	var got bench.Golden
 	if *server != "" {
@@ -173,17 +158,6 @@ func main() {
 	dispatches := sim.TotalDispatched() - d0
 	elided := sim.TotalElided() - e0
 	effective := float64(dispatches+elided) / wall.Seconds()
-	var perDomain []int64
-	if *domains > 1 {
-		for d, n := range sim.TotalDispatchedByDomain() {
-			if v := n - pd0[d]; v != 0 {
-				for len(perDomain) <= d {
-					perDomain = append(perDomain, 0)
-				}
-				perDomain[d] = v
-			}
-		}
-	}
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -218,9 +192,6 @@ func main() {
 	if *server == "" {
 		fmt.Printf("benchgate: %d dispatches + %d elided, %.0f dispatches/sec, %.0f effective events/sec\n",
 			dispatches, elided, float64(dispatches)/wall.Seconds(), effective)
-		if len(perDomain) > 0 {
-			fmt.Printf("benchgate: domains=%d dispatch breakdown: %v\n", *domains, perDomain)
-		}
 	}
 
 	// Read the perf baseline before refreshing the sidecar: with both flags
@@ -251,8 +222,6 @@ func main() {
 			WallMS:                wall.Milliseconds(),
 			Dispatches:            dispatches,
 			DispatchesPerSec:      float64(dispatches) / wall.Seconds(),
-			Domains:               *domains,
-			PerDomainDispatches:   perDomain,
 			ElidedEvents:          elided,
 			EffectiveEventsPerSec: effective,
 			LiveActors:            sc.LiveActors,

@@ -60,22 +60,10 @@ var hotPathFuncs = map[string]map[string]bool{
 		"Queue.Push":           true, "Queue.Pop": true, "Queue.TryPop": true,
 		"Queue.PopAwait": true,
 		"Pipe.Transfer":  true, "Pipe.TransferThen": true, "Pipe.serialize": true,
-		"Pipe.TransferStaged": true,
+		"Pipe.TransferStaged":  true,
 		"stagedGroup.runLocal": true, "stagedGroup.runRemote": true,
 		"eventHeap.push": true, "eventHeap.pop": true,
-		"ring.push": true, "ring.pop": true, "ring.peek": true,
-		// The domain-sharded merge engine: the global scheduling predicates,
-		// the per-dispatch merge selectors, and the merged/windowed loop
-		// bodies all run once or more per dispatch. Kernel.runMerged and
-		// Kernel.runWindow are in (unlike Kernel.Run / runSingle, the
-		// once-per-simulation entries) because their merge bookkeeping is
-		// per-event work. Setup (SetDomainCount, AtDomain, newGroup) stays
-		// out: construction-time or freelist-amortized allocation by design.
-		"Kernel.noReady": true, "Kernel.noEvents": true,
-		"Kernel.noEventAtOrBefore": true, "Kernel.curEvents": true,
-		"Kernel.domOf": true, "Kernel.popReadyDomain": true,
-		"Kernel.minEventDomain": true, "Kernel.dispatchFrom": true,
-		"Kernel.runMerged": true, "Kernel.runWindow": true,
+		"ring.push": true, "ring.pop": true,
 	},
 	"internal/mpi": {
 		"Engine.stepPass": true, "Engine.stepBridged": true,

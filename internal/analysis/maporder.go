@@ -12,7 +12,7 @@ import (
 // ranging over a map is therefore schedule-nondeterministic, and letting it
 // reach a determinism-sensitive sink — sim event scheduling, partitioned-API
 // calls, blocking primitives, trace rows, metric/CSV/stdout emission —
-// breaks the byte-identical golden gate and (worse) the PDES refactor's
+// breaks the byte-identical golden gate and the shuffle gate's
 // schedule-invariance requirement.
 //
 // The engine is a may-taint dataflow over the per-function CFG:

@@ -50,19 +50,15 @@ import (
 //   - mutex-via-caller: accesses inherited through a call made with locks
 //     held are protected by those locks, so a bare helper called under the
 //     caller's mutex is not a finding;
-//   - WaitGroup barrier (the Shards window fan-out): wg.Done is a release
-//     and wg.Wait an acquire on the WaitGroup's identity, reusing the
-//     channel rel/rcv machinery — a worker's writes (deferred Done) are
-//     ordered before the spawner's post-Wait reads. Additionally, for a
-//     barrier-joined worker racing with ITSELF (a go statement in a loop),
-//     struct-FIELD locations are assumed instance-confined: such fan-outs
-//     hand each goroutine a distinct receiver (one kernel per shard), which
-//     the instance-blind "pkg.Type.field" abstraction cannot express.
-//     Package-level locations stay in scope — a global counter bumped by
-//     two barrier workers is still reported.
+//   - WaitGroup barrier (the Server.Sweep and runner fan-outs): wg.Done is
+//     a release and wg.Wait an acquire on the WaitGroup's identity, reusing
+//     the channel rel/rcv machinery — a worker's writes (deferred Done) are
+//     ordered before the spawner's post-Wait reads. Done publishes to the
+//     waiter only, so sibling workers of a loop fan-out that touch the same
+//     location are still reported.
 var RaceLockAnalyzer = &Analyzer{
 	Name:      "racelock",
-	Doc:       "lockset race detection for the goroutine-concurrent host packages (serve, runner, store, sweepd, benchgate, and the sim cross-shard surface)",
+	Doc:       "lockset race detection for the goroutine-concurrent host packages (serve, runner, store, sweepd, benchgate)",
 	SkipTests: true,
 	Match:     matchRaceHost,
 	Run:       runRaceLock,
@@ -74,49 +70,6 @@ var RaceLockAnalyzer = &Analyzer{
 var raceHostSuffixes = []string{
 	"internal/serve", "internal/runner", "internal/runner/store",
 	"cmd/sweepd", "cmd/benchgate",
-	// internal/sim joined the host-concurrent set when Shards arrived: the
-	// cross-shard mailboxes (shards.go) and the shared Tracer are touched
-	// from concurrently running shard goroutines and must hold their
-	// mutexes, exactly the lockset discipline this analyzer checks. The
-	// checked surface is narrowed to those files (raceHostFiles): the rest
-	// of the package is the cooperative kernel, whose one-goroutine-per-
-	// kernel invariant rests on the proc handoff channels and the Shards
-	// window barrier — happens-before the instance-blind location
-	// abstraction cannot express, and which `go test -race` exercises
-	// dynamically on every CI run.
-	"internal/sim",
-}
-
-// raceHostFiles narrows a host package's checked surface to specific files
-// (by basename). Packages absent from the map are checked whole. Accesses
-// outside the allowed files never enter the summaries, so the narrowing is
-// transitive: an allowed-file function calling into an excluded file
-// inherits nothing from it.
-var raceHostFiles = map[string][]string{
-	"internal/sim": {"shards.go", "trace.go"},
-}
-
-func raceFileAllowed(node *FuncNode, pos token.Pos) bool {
-	var files []string
-	for sfx, fs := range raceHostFiles {
-		if node.PkgPath == sfx || strings.HasSuffix(node.PkgPath, "/"+sfx) {
-			files = fs
-			break
-		}
-	}
-	if files == nil {
-		return true
-	}
-	name := node.Pkg.Fset.Position(pos).Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	for _, f := range files {
-		if f == name {
-			return true
-		}
-	}
-	return false
 }
 
 func matchRaceHost(pkgPath string) bool {
@@ -133,11 +86,6 @@ func matchRaceHost(pkgPath string) bool {
 type raceAccess struct {
 	loc   string
 	write bool
-	// field marks a struct-field location of a named type (instance-blind
-	// "pkg.Type.field" abstraction), the granularity the barrier-confinement
-	// sanitizer may assume worker-disjoint. Determined by loc, so key() needs
-	// no extension.
-	field bool
 	// locks is the canonical sorted lockset held at the access, including
 	// pseudo-locks ("once:…") and locks inherited from callers at splice
 	// time.
@@ -313,49 +261,6 @@ func raceLocOf(node *FuncNode, e ast.Expr) string {
 	return id
 }
 
-// raceInstanceField reports whether e accesses a field of a named-type
-// instance reached through a non-package-level base — the locations the
-// "pkg.Type.field" abstraction merges across instances. A field of a
-// package-level variable (named or anonymous struct) is a single shared
-// instance and returns false: the barrier-confinement sanitizer must keep
-// reporting it.
-func raceInstanceField(node *FuncNode, e ast.Expr) bool {
-	info := node.Pkg.Info
-	x, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := info.Selections[x]
-	if !ok || sel.Kind() != types.FieldVal {
-		return false
-	}
-	tv, ok := info.Types[x.X]
-	if !ok || tv.Type == nil || baseTypeName(tv.Type) == "?" {
-		return false
-	}
-	// Walk to the base chain's root; a package-scope root is one shared
-	// instance, not a per-worker one.
-	root := ast.Unparen(x.X)
-	for {
-		switch r := root.(type) {
-		case *ast.SelectorExpr:
-			root = ast.Unparen(r.X)
-		case *ast.IndexExpr:
-			root = ast.Unparen(r.X)
-		case *ast.StarExpr:
-			root = ast.Unparen(r.X)
-		case *ast.Ident:
-			if v, ok := info.Uses[r].(*types.Var); ok &&
-				v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return false
-			}
-			return true
-		default:
-			return true
-		}
-	}
-}
-
 // raceSharedBase reports whether an access through e can reach memory
 // visible to another goroutine: the chain roots in a pointer (at any hop), a
 // map/slice element, or a package-level variable. A plain value local —
@@ -459,22 +364,6 @@ func raceWGIDOf(node *FuncNode, e ast.Expr) string {
 		return ""
 	}
 	return fmt.Sprintf("wg:%s@%d", v.Name(), v.Pos())
-}
-
-// raceSharesWG reports whether two rel sets share a WaitGroup barrier
-// identity.
-func raceSharesWG(a, b []string) bool {
-	for _, id := range a {
-		if !strings.HasPrefix(id, "wg:") {
-			continue
-		}
-		for _, o := range b {
-			if o == id {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ---- per-function lockset dataflow + access collection ----
@@ -835,15 +724,12 @@ func (cx *raceCtx) nodeForFunc(f *types.Func) *FuncNode {
 func (cx *raceCtx) raceCollect(node *FuncNode, n ast.Node, held []string, fi *raceFnInfo) {
 	lockCopy := func() []string { return append([]string{}, held...) }
 	addAccess := func(e ast.Expr, write bool) {
-		if !raceFileAllowed(node, e.Pos()) {
-			return
-		}
 		loc := raceLocOf(node, e)
 		if loc == "" {
 			return
 		}
 		fi.accesses = append(fi.accesses, raceAccess{
-			loc: loc, write: write, field: raceInstanceField(node, e),
+			loc: loc, write: write,
 			locks: lockCopy(),
 			pos:   e.Pos(), anchor: e.Pos(), node: node,
 		})
@@ -1243,16 +1129,6 @@ func runRaceLock(pass *Pass) {
 			}
 			for _, o := range hits {
 				if w.root == o.root && !roots[w.root].multi {
-					continue
-				}
-				// Barrier confinement: a loop-spawned worker joined by a
-				// WaitGroup racing with its own siblings on instance-field
-				// state — each sibling owns a distinct instance (the fan-out
-				// passes it one element), which the location abstraction
-				// cannot see. Package-level locations never take this path.
-				if w.root == o.root && roots[w.root].spawner != nil &&
-					w.acc.field && o.acc.field &&
-					raceSharesWG(w.acc.rel, o.acc.rel) {
 					continue
 				}
 				if raceIntersects(w.acc.locks, o.acc.locks) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,8 @@ import (
 // unsynchronized cross-root access (including a two-hop interprocedural
 // write under a self-concurrent HTTP handler), and non-firing cases for the
 // sanitizers the serving layer's idioms depend on — branch-correlated
-// locking, caller-held locks across calls, the channel flight protocol, and
-// sync.Once initialization.
+// locking, caller-held locks across calls, the channel flight protocol,
+// sync.Once initialization and the WaitGroup barrier.
 func TestRaceLockFixtures(t *testing.T) {
 	fixtures := []interpFixture{
 		{
@@ -209,6 +210,56 @@ func work() {
 			want: nil,
 		},
 		{
+			// The WaitGroup barrier (the Sweep fan-out): a worker's write
+			// before its deferred wg.Done is ordered before the spawner's
+			// read after wg.Wait.
+			name:     "racelock_wg_barrier_silent",
+			analyzer: "racelock",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/serve", files: map[string]string{"f.go": `package serve
+import "sync"
+type batch struct{ n int }
+func Run(b *batch) int {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.n++
+	}()
+	wg.Wait()
+	return b.n
+}
+`}},
+			},
+			want: nil,
+		},
+		{
+			// Done publishes to the waiter, not between siblings: a
+			// package-level counter bumped by every worker of a loop
+			// fan-out is a real race.
+			name:     "racelock_wg_barrier_global_fires",
+			analyzer: "racelock",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/serve", files: map[string]string{"f.go": `package serve
+import "sync"
+var hits int
+func Run(n int) int {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			hits++
+		}()
+	}
+	wg.Wait()
+	return hits
+}
+`}},
+			},
+			want: []string{"possible data race on serve.hits"},
+		},
+		{
 			// Host-concurrency rules stop at the host boundary: the same
 			// unlocked-counter shape in a sim-driven package is out of scope
 			// (the simulation is cooperative, not concurrent).
@@ -263,4 +314,55 @@ func raceDiagDump(diags []Diagnostic) string {
 		b.WriteString("  " + d.String() + "\n")
 	}
 	return b.String()
+}
+
+// TestRaceLockSimFixtures pins racelock's internal/sim scope: the package is
+// the cooperative kernel, one goroutine per kernel handed off through the
+// proc channels, and no file of it is checked. The same unlocked
+// spawn-and-read shape in a host package still fires, so the silence comes
+// from the scope and not from the shape.
+func TestRaceLockSimFixtures(t *testing.T) {
+	const src = `package %s
+type Box struct{ xs []int }
+type Hub struct{ mail []Box }
+func (h *Hub) Run() {
+	go h.post(1)
+	_ = h.mail[0].xs
+}
+func (h *Hub) post(v int) {
+	h.mail[0].xs = append(h.mail[0].xs, v)
+}
+`
+	fixtures := []interpFixture{
+		{
+			name:     "racelock_sim_package_out_of_scope_silent",
+			analyzer: "racelock",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/sim", files: map[string]string{"trace.go": fmt.Sprintf(src, "sim")}},
+			},
+			want: nil,
+		},
+		{
+			name:     "racelock_sim_shape_in_host_package_fires",
+			analyzer: "racelock",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/serve", files: map[string]string{"f.go": fmt.Sprintf(src, "serve")}},
+			},
+			want: []string{"possible data race on serve.Box.xs"},
+		},
+	}
+	for _, fx := range fixtures {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			diags := runInterpFixture(t, fx)
+			if len(diags) != len(fx.want) {
+				t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(fx.want), raceDiagDump(diags))
+			}
+			for i, want := range fx.want {
+				if !strings.Contains(diags[i].Message, want) {
+					t.Errorf("finding %d = %q, want substring %q", i, diags[i].Message, want)
+				}
+			}
+		})
+	}
 }

@@ -8,8 +8,7 @@ import (
 // cases inside sim-driven packages. The Go runtime picks among ready select
 // cases uniformly at random, so a multi-ready select inside code that the
 // virtual-time kernel drives injects real-time nondeterminism the golden
-// gate cannot pin down — exactly the class of bug the PDES refactor must
-// exclude. Simulated actors must multiplex through deterministic sim
+// gate cannot pin down. Simulated actors must multiplex through deterministic sim
 // primitives (Queue, Cond, Gate) instead.
 //
 // The check is CFG-based: only selects in reachable blocks are reported, so

@@ -9,7 +9,6 @@ import (
 
 	"mpipart/internal/cluster"
 	"mpipart/internal/runner"
-	"mpipart/internal/sim"
 )
 
 // goldenDefault computes the default-model gate baseline once for the whole
@@ -215,30 +214,5 @@ func TestSharedPointsMemoizeAcrossJobs(t *testing.T) {
 	// 8 (6 points) are already in the gate set.
 	if recomputed := misses3 - misses2; recomputed != 6 {
 		t.Fatalf("fig4 job recomputed %d points, want 6 (grids 2,4 only)", recomputed)
-	}
-}
-
-// TestGoldenHoldsAcrossDomainCounts is the PDES byte-identity gate in test
-// form: the full tier-1 sweep, with every world sharded into 2 and then 8
-// virtual-time domains (clamped per world to its node count), must encode
-// byte-identically to the unsharded baseline. Fresh runners per count — the
-// memo cache keys on experiment configuration, which domain sharding by
-// design does not change.
-func TestGoldenHoldsAcrossDomainCounts(t *testing.T) {
-	encode := func(g Golden) []byte {
-		b, err := EncodeGolden(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	ref := encode(defaultGolden(t))
-	defer sim.SetDefaultDomains(1)
-	for _, domains := range []int{2, 8} {
-		sim.SetDefaultDomains(domains)
-		got := encode(CollectGolden(runner.New(0), nil))
-		if !bytes.Equal(ref, got) {
-			t.Fatalf("domains=%d sweep diverged from the unsharded golden", domains)
-		}
 	}
 }

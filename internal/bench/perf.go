@@ -5,18 +5,22 @@ import "encoding/json"
 // BENCH_PERF.json is the host-performance sidecar to BENCH_GOLDEN.json:
 // where the golden locks the *virtual-time* metrics exactly, the perf file
 // records how much *host* work a gate run cost — wall time, scheduler
-// dispatches, and dispatch throughput. It is informational (refreshed by
-// every cmd/benchgate run, never compared), so scheduler optimizations show
-// up as a reviewable delta in the committed file while the golden proves the
-// simulated results did not move.
+// dispatches, and dispatch throughput. cmd/benchgate writes it only when
+// asked (-perf), so scheduler optimizations show up as a reviewable delta
+// in the committed file while the golden proves the simulated results did
+// not move. It is compared, never exactly: -perf-baseline fails a run whose
+// throughput falls more than -perf-regress percent below the committed
+// figure.
 
 // PerfSchema versions the BENCH_PERF.json layout. Schema 2 adds the
-// domain-sharding and event-elision breakdown: the kernel can now absorb
-// events into closed-form paths (pipe staged-transfer fusion, lazily
-// settled put completions), so raw dispatches undercount the work actually
-// simulated. EffectiveEventsPerSec — (dispatches + elided) / wall — is the
-// schema-2 figure comparable across elision changes, and the one the perf
-// gate compares when the committed base is schema 2.
+// event-elision breakdown: the kernel can absorb events into closed-form
+// paths (pipe staged-transfer fusion, lazily settled put completions), so
+// raw dispatches undercount the work actually simulated.
+// EffectiveEventsPerSec — (dispatches + elided) / wall — is the schema-2
+// figure comparable across elision changes, and the one the perf gate
+// compares when the committed base is schema 2. Older schema-2 files may
+// also carry "domains" and "per_domain_dispatches" keys from a since-removed
+// sharded scheduler; decoding ignores them.
 const PerfSchema = 2
 
 // Perf is one gate run's host-side cost record.
@@ -37,12 +41,6 @@ type Perf struct {
 	// DispatchesPerSec is Dispatches divided by the wall time — the
 	// events/sec figure the kernel microbenchmarks optimize for.
 	DispatchesPerSec float64 `json:"dispatches_per_sec"`
-	// Domains is the virtual-time domain count the gate worlds ran with
-	// (schema 2; 1 = unsharded).
-	Domains int `json:"domains,omitempty"`
-	// PerDomainDispatches breaks Dispatches down by domain for sharded
-	// runs (schema 2; omitted when Domains <= 1).
-	PerDomainDispatches []int64 `json:"per_domain_dispatches,omitempty"`
 	// ElidedEvents counts scheduler events absorbed by closed-form elision
 	// instead of being dispatched (schema 2), from sim.TotalElided.
 	ElidedEvents int64 `json:"elided_events,omitempty"`

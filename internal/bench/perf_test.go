@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -17,8 +18,6 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 		WallMS:                300,
 		Dispatches:            90000,
 		DispatchesPerSec:      300000,
-		Domains:               2,
-		PerDomainDispatches:   []int64{60000, 30000},
 		ElidedEvents:          7000,
 		EffectiveEventsPerSec: 323333,
 		LiveActors:            100000,
@@ -32,8 +31,7 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Domains != 2 || back.ElidedEvents != 7000 || back.EffectiveEventsPerSec != 323333 ||
-		len(back.PerDomainDispatches) != 2 || back.PerDomainDispatches[1] != 30000 {
+	if back.ElidedEvents != 7000 || back.EffectiveEventsPerSec != 323333 {
 		t.Fatalf("schema-2 fields lost: %+v", back)
 	}
 
@@ -45,7 +43,7 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 	if old.Schema != 1 || old.Dispatches != 97053 {
 		t.Fatalf("schema-1 payload misdecoded: %+v", old)
 	}
-	if old.Domains != 0 || old.ElidedEvents != 0 || old.EffectiveEventsPerSec != 0 {
+	if old.ElidedEvents != 0 || old.EffectiveEventsPerSec != 0 {
 		t.Fatalf("schema-1 payload grew phantom schema-2 fields: %+v", old)
 	}
 
@@ -54,9 +52,32 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"domains", "per_domain_dispatches", "elided_events", "effective_events_per_sec"} {
+	for _, key := range []string{"elided_events", "effective_events_per_sec"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("encoded sidecar missing %q", key)
 		}
+	}
+	for _, key := range []string{"domains", "per_domain_dispatches"} {
+		if _, ok := m[key]; ok {
+			t.Errorf("encoded sidecar still carries the removed %q key", key)
+		}
+	}
+}
+
+// TestCommittedPerfDecodes checks that the committed BENCH_PERF.json, which
+// -perf-baseline reads and which may carry a legacy "domains" key from the
+// removed sharded scheduler, decodes into the current layout with its gated
+// figures intact.
+func TestCommittedPerfDecodes(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_PERF.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DecodePerf(raw)
+	if err != nil {
+		t.Fatalf("committed sidecar: %v", err)
+	}
+	if p.Schema != PerfSchema || p.Dispatches <= 0 || p.EffectiveEventsPerSec <= 0 {
+		t.Fatalf("committed sidecar misdecoded: %+v", p)
 	}
 }

@@ -11,6 +11,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 
 	"mpipart/internal/sim"
 )
@@ -38,22 +40,6 @@ func (t Topology) NodeOf(g int) int { return g / t.GPUsPerNode }
 
 // SameNode reports whether two global GPU ids share a node.
 func (t Topology) SameNode(a, b int) bool { return t.NodeOf(a) == t.NodeOf(b) }
-
-// DomainOf maps global GPU id g onto one of `domains` virtual-time domains.
-// Domains never split a node — all intra-node traffic (NVLink, zero-latency
-// host paths) stays domain-local, so only cross-node fabric pipes, whose
-// latency provides the conservative lookahead, carry cross-domain events.
-// With domains >= Nodes the mapping is one domain per node; fewer domains
-// group contiguous nodes evenly.
-func (t Topology) DomainOf(g, domains int) int {
-	if domains > t.Nodes {
-		domains = t.Nodes
-	}
-	if domains <= 1 {
-		return 0
-	}
-	return t.NodeOf(g) * domains / t.Nodes
-}
 
 // Validate reports whether the topology is usable.
 func (t Topology) Validate() error {
@@ -245,6 +231,48 @@ func DefaultModel() Model {
 		SchedBuildPerStep:   sim.Microseconds(2.4),
 		CollInitBase:        sim.Microseconds(39),
 	}
+}
+
+// Validate reports whether the model can drive a simulation. Every numeric
+// field must be finite and non-negative, and the fields that divide or
+// bound a loop must be positive: a zero SM count, poll interval or
+// bandwidth would stall virtual time instead of failing. A partial JSON
+// override zeroes every field it does not name, so callers accepting
+// models from outside (sweepd) must validate before simulating.
+func (m Model) Validate() error {
+	v := reflect.ValueOf(m)
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				return fmt.Errorf("cluster: model %s = %v, want a finite non-negative value", name, x)
+			}
+		case reflect.Int, reflect.Int64:
+			if f.Int() < 0 {
+				return fmt.Errorf("cluster: model %s = %d is negative", name, f.Int())
+			}
+		}
+	}
+	for _, p := range []struct {
+		name string
+		ok   bool
+	}{
+		{"SMs", m.SMs > 0},
+		{"MaxThreadsPerSM", m.MaxThreadsPerSM > 0},
+		{"MaxBlocksPerSM", m.MaxBlocksPerSM > 0},
+		{"ProgressPollInterval", m.ProgressPollInterval > 0},
+		{"NVLinkBytesPerSec", m.NVLinkBytesPerSec > 0},
+		{"IBBytesPerSec", m.IBBytesPerSec > 0},
+		{"C2CBytesPerSec", m.C2CBytesPerSec > 0},
+		{"ShmBytesPerSec", m.ShmBytesPerSec > 0},
+		{"CPUReduceBytesPerSec", m.CPUReduceBytesPerSec > 0},
+	} {
+		if !p.ok {
+			return fmt.Errorf("cluster: model %s must be positive", p.name)
+		}
+	}
+	return nil
 }
 
 // ResidentBlocksPerSM returns how many blocks of the given size can be

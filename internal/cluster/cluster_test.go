@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +174,34 @@ func TestOccupancyBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestModelValidate(t *testing.T) {
+	if err := DefaultModel().Validate(); err != nil {
+		t.Fatalf("default model rejected: %v", err)
+	}
+	bad := map[string]func(m *Model){
+		"zero model":           func(m *Model) { *m = Model{} },
+		"negative duration":    func(m *Model) { m.StreamSyncCost = -1 },
+		"NaN bandwidth":        func(m *Model) { m.IBBytesPerSec = math.NaN() },
+		"infinite per-byte":    func(m *Model) { m.MemMapPerByte = math.Inf(1) },
+		"zero SMs":             func(m *Model) { m.SMs = 0 },
+		"zero poll interval":   func(m *Model) { m.ProgressPollInterval = 0 },
+		"zero shm bandwidth":   func(m *Model) { m.ShmBytesPerSec = 0 },
+		"negative eager limit": func(m *Model) { m.EagerThresholdBytes = -1 },
+	}
+	for name, mutate := range bad {
+		m := DefaultModel()
+		mutate(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Zero costs are legal: they make an operation free, not endless.
+	m := DefaultModel()
+	m.DeviceFlagPollCost = 0
+	if err := m.Validate(); err != nil {
+		t.Errorf("zero poll cost rejected: %v", err)
 	}
 }

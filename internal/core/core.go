@@ -79,8 +79,8 @@ type rtrMsg struct {
 
 // procState is the lazy per-rank state of the partitioned library.
 type procState struct {
-	seqs map[[3]int]int // (src,dst,tag) -> next channel seq (send side)
-	rseq map[[3]int]int // (src,dst,tag) -> next channel seq (recv side)
+	seqs    map[[3]int]int // (src,dst,tag) -> next channel seq (send side)
+	recvSeq map[[3]int]int // (src,dst,tag) -> next channel seq (recv side)
 }
 
 // state returns (creating if needed) the partitioned library's per-rank
@@ -93,7 +93,7 @@ func state(p *sim.Proc, r *mpi.Rank) *procState {
 	}
 	p.Wait(r.W.Model.UCPContextCreate)
 	r.UCPInitialized = true
-	st := &procState{seqs: make(map[[3]int]int), rseq: make(map[[3]int]int)}
+	st := &procState{seqs: make(map[[3]int]int), recvSeq: make(map[[3]int]int)}
 	r.PartState = st
 	return st
 }

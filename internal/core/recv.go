@@ -53,8 +53,8 @@ func PrecvInitParts(p *sim.Proc, r *mpi.Rank, src, tag int, parts [][]float64) *
 		panic("core: PrecvInit with zero partitions")
 	}
 	k3 := [3]int{src, r.ID, tag}
-	key := chanKey{src: src, dst: r.ID, tag: tag, seq: st.rseq[k3]}
-	st.rseq[k3]++
+	key := chanKey{src: src, dst: r.ID, tag: tag, seq: st.recvSeq[k3]}
+	st.recvSeq[k3]++
 
 	p.Wait(r.W.Model.PinitCost)
 	req := &RecvRequest{

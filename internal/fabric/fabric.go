@@ -78,13 +78,6 @@ func (f *Fabric) Route(src, dst int) *sim.Pipe {
 	return p
 }
 
-// CrossNodeLookahead reports the minimum latency of any cross-node path:
-// the conservative lookahead available to per-node virtual-time domains. No
-// inter-node pipe — data (Route) or control (ControlRoute) — delivers
-// sooner than the IB wire latency, so an event leaving a node can never
-// land inside the destination's [T, T+lookahead) window.
-func (f *Fabric) CrossNodeLookahead() sim.Duration { return f.Model.IBLatency }
-
 // local returns a device-local pipe (HBM copy) for src==dst routes; it is
 // effectively instantaneous relative to inter-device paths.
 func (f *Fabric) local(g int) *sim.Pipe {

@@ -50,9 +50,6 @@ type World struct {
 type Rank struct {
 	ID int
 	W  *World
-	// Dom is the rank's virtual-time domain (cluster.Topology.DomainOf over
-	// the world's domain count; 0 in an unsharded world).
-	Dom int
 
 	Dev    *gpu.Device
 	Stream *gpu.Stream // the default stream
@@ -83,26 +80,11 @@ type Rank struct {
 
 // NewWorld builds the machine: fabric, devices, workers, progression
 // engines. seed feeds the deterministic RNG.
-//
-// If the process-wide domain default (sim.SetDefaultDomains, the benchgate
-// -domains flag) asks for more than one virtual-time domain, the kernel is
-// sharded per node — never splitting a node, so every cross-domain path is
-// a fabric pipe whose IB latency provides the conservative lookahead — and
-// every per-rank actor (host proc, GPU stream, worker, progression engine)
-// is placed in its rank's domain. The merged scheduler keeps the world
-// byte-identical to an unsharded run.
 func NewWorld(topo cluster.Topology, model cluster.Model, seed int64) *World {
 	if err := topo.Validate(); err != nil {
 		panic(err)
 	}
 	k := sim.NewKernel(seed)
-	domains := sim.DefaultDomains()
-	if domains > topo.Nodes {
-		domains = topo.Nodes
-	}
-	if domains > 1 {
-		k.SetDomainCount(domains)
-	}
 	f := fabric.New(k, &model, topo)
 	w := &World{
 		K:     k,
@@ -114,15 +96,13 @@ func NewWorld(topo cluster.Topology, model cluster.Model, seed int64) *World {
 		recvQ: make(map[msgKey][]*pendingOp),
 	}
 	for g := 0; g < topo.TotalGPUs(); g++ {
-		r := &Rank{ID: g, W: w, Dom: topo.DomainOf(g, domains)}
-		k.SetDomain(r.Dom)
+		r := &Rank{ID: g, W: w}
 		r.Dev = gpu.NewDevice(k, &model, f, g)
 		r.Stream = r.Dev.NewStream("default")
 		r.Worker = w.Ctx.NewWorker(ucx.WorkerAddr(g), g)
 		r.Engine = newEngine(r)
 		w.ranks = append(w.ranks, r)
 	}
-	k.SetDomain(0)
 	return w
 }
 
@@ -132,17 +112,14 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank id.
 func (w *World) Rank(id int) *Rank { return w.ranks[id] }
 
-// Spawn starts every rank's host process running the SPMD function main,
-// placed in the rank's virtual-time domain.
+// Spawn starts every rank's host process running the SPMD function main.
 func (w *World) Spawn(main func(r *Rank)) {
 	for _, r := range w.ranks {
 		r := r
-		w.K.SetDomain(r.Dom)
 		r.proc = w.K.GoID("rank", r.ID, func(p *sim.Proc) {
 			main(r)
 		})
 	}
-	w.K.SetDomain(0)
 }
 
 // Run executes the simulation to completion.

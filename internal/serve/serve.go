@@ -26,8 +26,18 @@ type Request struct {
 	// Model, when non-nil, replaces the calibrated cost model for the
 	// whole batch — the sensitivity-ablation axis. Only the gate families
 	// are model-parameterized; a model-override batch resolves against
-	// them alone.
+	// them alone. It must pass cluster.Model.Validate: JSON leaves every
+	// field it does not name at zero, so an override normally starts from
+	// the full default model.
 	Model *cluster.Model `json:"model,omitempty"`
+}
+
+// checkModel validates the override model, if any.
+func (r Request) checkModel() error {
+	if r.Model == nil {
+		return nil
+	}
+	return r.Model.Validate()
 }
 
 // PointResult is one element of the response, in request order.
@@ -145,10 +155,32 @@ func CatalogIDs() []string {
 
 // Sweep executes one batch and returns per-point results in request order.
 // Points fan out concurrently; the batcher bounds simultaneous simulations
-// and coalesces identical keys, within this batch and across batches.
+// and coalesces identical keys, within this batch and across batches. An
+// invalid override model fails every point without simulating: such a
+// model could stall virtual time and pin a batcher worker forever.
 func (s *Server) Sweep(req Request) Response {
-	cat := catalogFor(req.Model)
 	results := make([]PointResult, len(req.Points))
+	if err := req.checkModel(); err != nil {
+		for i, id := range req.Points {
+			results[i] = PointResult{Point: id, Source: SourceError, Error: err.Error()}
+		}
+	} else {
+		s.sweep(req, results)
+	}
+	for _, pr := range results {
+		s.col.record(RequestMetrics{
+			Point: pr.Point, Key: pr.Key, Source: pr.Source,
+			QueueUS: pr.QueueUS, ComputeUS: pr.ComputeUS, TotalUS: pr.TotalUS,
+		})
+	}
+	s.col.batchDone()
+	return Response{Results: results}
+}
+
+// sweep fans req's points out through the batcher, filling results in
+// request order.
+func (s *Server) sweep(req Request, results []PointResult) {
+	cat := catalogFor(req.Model)
 	var wg sync.WaitGroup
 	for i, id := range req.Points {
 		i, id := i, id
@@ -177,14 +209,6 @@ func (s *Server) Sweep(req Request) Response {
 		}()
 	}
 	wg.Wait()
-	for _, pr := range results {
-		s.col.record(RequestMetrics{
-			Point: pr.Point, Key: pr.Key, Source: pr.Source,
-			QueueUS: pr.QueueUS, ComputeUS: pr.ComputeUS, TotalUS: pr.TotalUS,
-		})
-	}
-	s.col.batchDone()
-	return Response{Results: results}
 }
 
 // Metrics returns the current metrics snapshot.
@@ -220,6 +244,10 @@ func (s *Server) Handler() http.Handler {
 		}
 		if len(req.Points) == 0 {
 			http.Error(w, "bad request: no points", http.StatusBadRequest)
+			return
+		}
+		if err := req.checkModel(); err != nil {
+			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, s.Sweep(req))

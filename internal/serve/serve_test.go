@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mpipart/internal/bench"
 	"mpipart/internal/cluster"
@@ -202,6 +203,82 @@ func TestSweepUnknownPointIsPerPointError(t *testing.T) {
 	if _, err := c.RunPoints([]string{"no/such/point"}, nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown point") {
 		t.Fatalf("RunPoints error = %v", err)
+	}
+}
+
+// TestSweepRejectsInvalidModel: a cost-model override that fails
+// cluster.Model.Validate must be refused promptly — over HTTP with 400, in
+// process with a per-point error — instead of simulating. A zero model or
+// a partial JSON model (every unnamed field zero) used to stall virtual
+// time and never answer. A full default model with one stretched latency,
+// the override shape the serve_mix benchmark sends, must still compute.
+func TestSweepRejectsInvalidModel(t *testing.T) {
+	srv := NewServer(Config{Workers: 4})
+	ts := httptest.NewServer(srv.Handler())
+	// Close waits for in-flight handlers, and a regression here is a
+	// handler that never returns: leave the server to the process exit
+	// then, so the test fails instead of hanging.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	})
+	var ids []string
+	for _, p := range bench.GatePoints(nil) {
+		ids = append(ids, p.ID)
+	}
+	pointsJSON, err := json.Marshal(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(model string) (int, string) {
+		t.Helper()
+		body := `{"points":` + string(pointsJSON) + `,"model":` + model + `}`
+		client := &http.Client{Timeout: time.Second}
+		resp, err := client.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("model %s: %v", model, err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.String()
+	}
+	for _, model := range []string{`{}`, `{"IBLatency":5000}`} {
+		if code, msg := post(model); code != http.StatusBadRequest || !strings.Contains(msg, "must be positive") {
+			t.Fatalf("model %s: status %d %q, want 400 naming the bad field", model, code, msg)
+		}
+	}
+
+	bad := cluster.DefaultModel()
+	bad.ProgressPollInterval = -1
+	resp := srv.Sweep(Request{Points: ids[:2], Model: &bad})
+	for _, r := range resp.Results {
+		if r.Source != SourceError || !strings.Contains(r.Error, "ProgressPollInterval") || r.Metrics != nil {
+			t.Fatalf("in-process invalid model: %+v", r)
+		}
+	}
+
+	stretched := cluster.DefaultModel()
+	stretched.IBLatency += stretched.IBLatency / 4
+	raw, err := json.Marshal(stretched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, msg := post(string(raw))
+	if code != http.StatusOK {
+		t.Fatalf("stretched default model: status %d %q", code, msg)
+	}
+	var ok Response
+	if err := json.Unmarshal([]byte(msg), &ok); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ok.Results {
+		if r.Error != "" || r.Source != SourceComputed {
+			t.Fatalf("stretched default model: %+v", r)
+		}
 	}
 }
 

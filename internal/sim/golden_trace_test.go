@@ -36,26 +36,8 @@ type goldenTrace struct {
 
 // runGoldenScenario executes the fixture scenario and returns its recording.
 func runGoldenScenario(t *testing.T) goldenTrace {
-	return runGoldenScenarioDomains(t, 1)
-}
-
-// runGoldenScenarioDomains is the scenario with the kernel sharded into the
-// given number of virtual-time domains, top-level actors placed round-robin.
-// The merge-mode invariant says the recording must be byte-identical to the
-// single-domain fixture at every domain count.
-func runGoldenScenarioDomains(t *testing.T, domains int) goldenTrace {
 	t.Helper()
 	k := NewKernel(42)
-	if domains > 1 {
-		k.SetDomainCount(domains)
-	}
-	nextDom := 0
-	place := func() {
-		if domains > 1 {
-			k.SetDomain(nextDom % domains)
-			nextDom++
-		}
-	}
 	tr := NewTracer()
 	k.SetTracer(tr)
 	var g goldenTrace
@@ -77,7 +59,6 @@ func runGoldenScenarioDomains(t *testing.T, domains int) goldenTrace {
 	// queue; several wake at identical times to pin FIFO order.
 	for i := 0; i < 5; i++ {
 		i := i
-		place()
 		k.Go(fmt.Sprintf("worker%d", i), func(p *Proc) {
 			ready.Wait(p)
 			log(p, "worker%d passed gate", i)
@@ -95,7 +76,6 @@ func runGoldenScenarioDomains(t *testing.T, domains int) goldenTrace {
 		})
 	}
 
-	place()
 	k.Go("driver", func(p *Proc) {
 		p.Wait(100)
 		ready.Open()
@@ -125,7 +105,6 @@ func runGoldenScenarioDomains(t *testing.T, domains int) goldenTrace {
 		log(p, "driver done")
 	})
 
-	place()
 	k.GoDaemon("daemon", func(p *Proc) {
 		c := NewCond(k, "never")
 		c.Wait(p) // parks forever; daemons may stay blocked

@@ -29,10 +29,6 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
-// peek returns a pointer to the head element without removing it. The ring
-// must be non-empty.
-func (r *ring[T]) peek() *T { return &r.buf[r.head] }
-
 // len reports the number of buffered items.
 func (r *ring[T]) len() int { return r.n }
 

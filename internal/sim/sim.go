@@ -57,9 +57,7 @@
 //     order.
 //   - Arbitrary: the relative order of the callbacks themselves. They model
 //     asynchronous completions from independent sources (NIC deliveries,
-//     DMA completions), which real hardware — and the planned sharded-PDES
-//     scheduler, which merges simultaneous events from different time
-//     domains — does not order.
+//     DMA completions), which real hardware does not order.
 //
 // ShuffleTieBreaks (or a process-wide SetShuffleSeed) perturbs exactly the
 // arbitrary part: same-timestamp callbacks run in a seeded-PRNG order
@@ -68,8 +66,7 @@
 // so any divergence in observable results between seeds is a reproducible
 // witness of hidden dependence on simultaneous-event arrival order.
 // cmd/benchgate -shuffle-seeds gates the golden baselines on invariance
-// under N such seeds — the machine-checked precondition for the PDES
-// refactor.
+// under N such seeds.
 package sim
 
 import (
@@ -207,12 +204,7 @@ type Proc struct {
 	reason  blockReason // diagnostic: what the proc is blocked on
 	liveIdx int         // index into k.live, for O(1) reap
 	daemon  bool        // daemons may remain blocked at simulation end
-	dom     int         // owning virtual-time domain (0 unless sharded)
-	rseq    uint64      // global ready stamp, set by ready(); merge-order key
 }
-
-// Domain reports the virtual-time domain the Proc belongs to.
-func (p *Proc) Domain() int { return p.dom }
 
 // Name returns the diagnostic name given to Go/GoID. Names spawned with an
 // integer id (GoID/GoDaemonID) are rendered lazily, so spawning 100k procs
@@ -367,25 +359,12 @@ var totalElided int64
 // pre-elision dispatch count.
 func TotalElided() int64 { return atomic.LoadInt64(&totalElided) }
 
-// Kernel is the simulation scheduler: a virtual clock, one or more
-// virtual-time domains (each a timed event queue plus a run queue of ready
-// actors), and the merge logic that pops them in one deterministic order.
+// Kernel is the simulation scheduler: a virtual clock, a timed event queue
+// and a run queue of ready actors.
 type Kernel struct {
-	now Time
-	// domain 0 is embedded: its events / runq fields promote to the names
-	// the single-domain hot path has always used, so a kernel without
-	// SetDomainCount pays nothing for the sharding support (see domain.go).
-	domain
-	extra []*domain // domains 1..n-1; nil = single-domain kernel
-	cur   int       // domain new spawns/events are attributed to
-	// rseqCtr stamps actors as they become ready; the merged scheduler pops
-	// run-queue heads in rseq order — the same global FIFO a single shared
-	// run queue produces.
-	rseqCtr uint64
-	// windowEnd bounds the lone-timer fast paths and runWindow during
-	// Shards bounded-lag execution; maxTime means unwindowed.
-	windowEnd Time
-
+	now        Time
+	events     eventHeap
+	runq       ring[actorRef]
 	seq        uint64
 	nextID     int
 	live       []*Proc // all non-done procs, for deadlock diagnostics
@@ -423,10 +402,7 @@ func SetShuffleSeed(seed int64) { shuffleSeed.Store(seed) }
 // seed is set (SetShuffleSeed), the kernel starts in schedule-perturbation
 // mode.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{
-		rng:       rand.New(rand.NewSource(seed)),
-		windowEnd: maxTime,
-	}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
 	if s := shuffleSeed.Load(); s != 0 {
 		k.ShuffleTieBreaks(s ^ seed*0x9E3779B9)
 	}
@@ -446,8 +422,8 @@ func NewKernel(seed int64) *Kernel {
 //
 // The mode exists to expose hidden schedule dependence: any observable
 // model result (a golden metric, a figure point) that changes under
-// shuffled tie-breaks was depending on an event order that the planned
-// sharded-PDES scheduler — and real hardware — does not guarantee.
+// shuffled tie-breaks was depending on an event order that real hardware
+// does not guarantee.
 // cmd/benchgate -shuffle-seeds runs the whole golden sweep under N seeds
 // and requires byte-identical results.
 func (k *Kernel) ShuffleTieBreaks(seed int64) {
@@ -510,23 +486,12 @@ func (k *Kernel) eventPri() uint64 {
 	return k.shuffle.Uint64()
 }
 
-// At schedules fn to run at absolute virtual time t (clamped to now). The
-// event lands in the current domain's heap (the scheduling actor's domain
-// during Run); AtDomain targets another domain explicitly.
+// At schedules fn to run at absolute virtual time t (clamped to now).
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
-	k.curEvents().push(event{at: t, seq: k.nextSeq(), pri: k.eventPri(), phase: phaseCallback, fn: fn})
-}
-
-// curEvents returns the current domain's event heap — domain 0's promoted
-// field on the single-domain hot path.
-func (k *Kernel) curEvents() *eventHeap {
-	if k.cur == 0 {
-		return &k.events
-	}
-	return &k.extra[k.cur-1].events
+	k.events.push(event{at: t, seq: k.nextSeq(), pri: k.eventPri(), phase: phaseCallback, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -547,7 +512,7 @@ func (k *Kernel) GoID(prefix string, id int, body func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, nameID int, body func(p *Proc)) *Proc {
-	p := k.newProc(name, nameID, k.cur)
+	p := k.newProc(name, nameID)
 	p.start(body)
 	k.ready(p)
 	return p
@@ -564,9 +529,9 @@ func (p *Proc) exit() {
 }
 
 // newProc registers a not-yet-started proc in the live set.
-func (k *Kernel) newProc(name string, nameID, dom int) *Proc {
+func (k *Kernel) newProc(name string, nameID int) *Proc {
 	k.nextID++
-	p := &Proc{k: k, name: name, nameID: nameID, id: k.nextID, liveIdx: len(k.live), dom: dom}
+	p := &Proc{k: k, name: name, nameID: nameID, id: k.nextID, liveIdx: len(k.live)}
 	k.live = append(k.live, p)
 	return p
 }
@@ -588,18 +553,14 @@ func (k *Kernel) GoDaemonID(prefix string, id int, body func(p *Proc)) *Proc {
 	return p
 }
 
-// ready appends p to its domain's run queue, stamping the global ready
-// sequence the merged scheduler pops in — the same FIFO order a single
-// shared run queue would give.
+// ready appends p to the run queue.
 func (k *Kernel) ready(p *Proc) {
 	if p.state == stateDone {
 		panic("sim: readying a finished proc " + p.Name())
 	}
 	p.state = stateReady
 	p.reason = blockReason{}
-	k.rseqCtr++
-	p.rseq = k.rseqCtr
-	k.domOf(p.dom).runq.push(actorRef{p: p})
+	k.runq.push(actorRef{p: p})
 }
 
 // resume switches to p's coroutine and returns when it yields back (by
@@ -655,32 +616,28 @@ func (p *Proc) Wait(d Duration) {
 	p.WaitUntil(p.k.now + Time(d))
 }
 
-// WaitUntil parks the Proc until absolute virtual time t. The fast-path
-// predicates are global (noReady / noEvents scan every domain), so a
-// sharded kernel makes exactly the decisions a single-queue kernel would.
+// WaitUntil parks the Proc until absolute virtual time t.
 func (p *Proc) WaitUntil(t Time) {
 	k := p.k
 	if t <= k.now {
 		// Fused fast path: with no ready peers and no pending events, a
 		// zero-length wait would bounce through the scheduler (two coroutine
 		// switches) only to be resumed immediately with the clock unmoved.
-		if k.noReady() && k.noEvents() {
+		if k.runq.empty() && len(k.events) == 0 {
 			return
 		}
 		t = k.now
-	} else if k.noReady() && !k.stopped && t < k.windowEnd && k.noEventAtOrBefore(t) {
+	} else if k.runq.empty() && !k.stopped && (len(k.events) == 0 || k.events[0].at > t) {
 		// Lone-timer fast path: no proc is ready and the earliest pending
 		// event fires strictly after t, so the scheduler's only possible move
 		// is to advance the clock to t and resume this proc. (An event at
 		// exactly t would still win the (time, phase, seq) tie-break — this
 		// wake would get wake phase and the newest seq — so that case takes
-		// the slow path. Under a Shards bounded-lag window the clock must
-		// not jump past windowEnd, where an unseen cross-domain event may
-		// land.) Do the forced move in place, skipping both switches.
+		// the slow path.) Do the forced move in place, skipping both switches.
 		k.now = t
 		return
 	}
-	k.domOf(p.dom).events.push(event{at: t, seq: k.nextSeq(), phase: phaseWake, proc: p})
+	k.events.push(event{at: t, seq: k.nextSeq(), phase: phaseWake, proc: p})
 	p.block(stateTimed, blockReason{kind: blockTimer, t: t})
 }
 
@@ -689,7 +646,7 @@ func (p *Proc) WaitUntil(t Time) {
 // straight back (ready procs always run before pending events).
 func (p *Proc) Yield() {
 	k := p.k
-	if k.noReady() {
+	if k.runq.empty() {
 		return
 	}
 	k.ready(p)
@@ -704,7 +661,7 @@ func (p *Proc) Yield() {
 func (k *Kernel) dispatch(e event) {
 	if e.proc != nil {
 		p := e.proc
-		if k.noReady() {
+		if k.runq.empty() {
 			p.state = stateReady
 			p.reason = blockReason{}
 			k.resume(p)
@@ -715,7 +672,7 @@ func (k *Kernel) dispatch(e event) {
 	}
 	if e.task != nil {
 		t := e.task
-		if k.noReady() {
+		if k.runq.empty() {
 			t.state = stateReady
 			t.reason = blockReason{}
 			k.runTask(t)
@@ -743,33 +700,6 @@ func (k *Kernel) Run() error {
 		k.drain()
 		k.flushCounters()
 	}()
-	if k.extra == nil {
-		k.runSingle()
-	} else {
-		k.runMerged()
-	}
-	if k.panicked != nil {
-		return k.panicked
-	}
-	if k.stopped {
-		return nil // a stopped kernel abandons blocked procs by design
-	}
-	for _, p := range k.live {
-		if !p.daemon {
-			return fmt.Errorf("sim: deadlock at %v: %s", k.now, k.describeBlocked())
-		}
-	}
-	for _, t := range k.liveTasks {
-		if !t.daemon {
-			return fmt.Errorf("sim: deadlock at %v: %s", k.now, k.describeBlocked())
-		}
-	}
-	return nil
-}
-
-// runSingle is the single-domain scheduler loop — the hot path every
-// unsharded kernel runs, byte-for-byte the pre-domain kernel's Run body.
-func (k *Kernel) runSingle() {
 	for !k.stopped && k.panicked == nil {
 		if !k.runq.empty() {
 			a := k.runq.pop()
@@ -797,6 +727,33 @@ func (k *Kernel) runSingle() {
 		}
 		break
 	}
+	if k.panicked != nil {
+		return k.panicked
+	}
+	if k.stopped {
+		return nil // a stopped kernel abandons blocked procs by design
+	}
+	for _, p := range k.live {
+		if !p.daemon {
+			return fmt.Errorf("sim: deadlock at %v: %s", k.now, k.describeBlocked())
+		}
+	}
+	for _, t := range k.liveTasks {
+		if !t.daemon {
+			return fmt.Errorf("sim: deadlock at %v: %s", k.now, k.describeBlocked())
+		}
+	}
+	return nil
+}
+
+// flushCounters publishes this kernel's dispatch and elision counters into
+// the process-wide aggregates. It is delta-based, so Run can call it on
+// every return.
+func (k *Kernel) flushCounters() {
+	atomic.AddInt64(&totalDispatched, k.dispatched-k.flushed)
+	k.flushed = k.dispatched
+	atomic.AddInt64(&totalElided, k.elided-k.elidedFlushed)
+	k.elidedFlushed = k.elided
 }
 
 // Stop terminates the simulation at the end of the current dispatch. Blocked

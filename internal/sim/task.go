@@ -58,10 +58,8 @@ type Task struct {
 
 	state   procState
 	reason  blockReason
-	liveIdx int    // index into k.liveTasks, for O(1) reap
+	liveIdx int // index into k.liveTasks, for O(1) reap
 	daemon  bool
-	dom     int    // owning virtual-time domain (0 unless sharded)
-	rseq    uint64 // global ready stamp, set by readyTask(); merge-order key
 
 	// Coroutine escape hatch: CallProc runs a blocking func(p *Proc) body on
 	// a lazily created, persistent bridge proc owned by this Task.
@@ -100,7 +98,6 @@ func (k *Kernel) spawnTask(prefix string, id int, daemon bool, fn TaskFn) *Task 
 		state:   stateNew,
 		liveIdx: len(k.liveTasks),
 		daemon:  daemon,
-		dom:     k.cur,
 	}
 	k.liveTasks = append(k.liveTasks, t)
 	k.readyTask(t)
@@ -131,21 +128,15 @@ func (k *Kernel) SpawnTaskDaemonID(prefix string, id int, fn TaskFn) *Task {
 	return k.spawnTask(prefix, id, true, fn)
 }
 
-// readyTask appends t to its domain's run queue (the Task analogue of
-// ready), stamping the same global ready sequence.
+// readyTask appends t to the run queue (the Task analogue of ready).
 func (k *Kernel) readyTask(t *Task) {
 	if t.state == stateDone {
 		panic("sim: readying a finished task " + t.Name())
 	}
 	t.state = stateReady
 	t.reason = blockReason{}
-	k.rseqCtr++
-	t.rseq = k.rseqCtr
-	k.domOf(t.dom).runq.push(actorRef{t: t})
+	k.runq.push(actorRef{t: t})
 }
-
-// Domain reports the virtual-time domain the Task belongs to.
-func (t *Task) Domain() int { return t.dom }
 
 // readyActor readies whichever actor the ref holds. It is how the waiter
 // rings wake a mixed proc/task FIFO without branching at every push.
@@ -268,22 +259,20 @@ func (t *Task) SleepUntil(at Time) {
 		panic("sim: task " + t.Name() + " suspended twice in one step")
 	}
 	if at <= k.now {
-		if k.noReady() && k.noEvents() {
+		if k.runq.empty() && len(k.events) == 0 {
 			// Fused zero-length wait: nothing else can run; continue inline.
 			t.susp = suspInline
 			return
 		}
 		at = k.now
-	} else if k.noReady() && !k.stopped && at < k.windowEnd && k.noEventAtOrBefore(at) {
+	} else if k.runq.empty() && !k.stopped && (len(k.events) == 0 || k.events[0].at > at) {
 		// Lone-timer fast path: the scheduler's only possible move is to
-		// advance the clock to at and run this task's continuation. (The
-		// predicates are global across domains, and a Shards bounded-lag
-		// window caps the jump — see Proc.WaitUntil.)
+		// advance the clock to at and run this task's continuation.
 		k.now = at
 		t.susp = suspInline
 		return
 	}
-	k.domOf(t.dom).events.push(event{at: at, seq: k.nextSeq(), phase: phaseWake, task: t})
+	k.events.push(event{at: at, seq: k.nextSeq(), phase: phaseWake, task: t})
 	t.susp = suspParked
 	t.state = stateTimed
 	t.reason = blockReason{kind: blockTimer, t: at}
@@ -331,7 +320,7 @@ func (t *Task) CallProc(fn func(p *Proc)) {
 // would perturb the schedule) — it is resumed only by direct handoff from
 // stepTask and by the timer/cond wakes its blocking body arms.
 func (k *Kernel) newBridgeProc(t *Task) *Proc {
-	p := k.newProc(t.name, t.nameID, t.dom)
+	p := k.newProc(t.name, t.nameID)
 	p.daemon = true
 	p.start(t.bridgeLoop)
 	return p

@@ -28,11 +28,11 @@ type TraceKV struct {
 // Tracer records TraceEvents when attached to a Kernel. A nil *Tracer is
 // valid and records nothing, so instrumentation sites need no guards.
 //
-// Recording is race-safe: one Tracer may be attached to several shard
-// kernels running concurrently (sim.Shards). Events from one kernel keep
-// their recording order; the interleaving between concurrently-recording
-// kernels follows wall-clock arrival, so deterministic fixtures should use
-// one tracer per shard and merge by virtual time.
+// Recording is race-safe: one Tracer may be attached to several kernels
+// running on different goroutines (worlds run side by side by a runner
+// pool, say). Events from one kernel keep their recording order; the
+// interleaving between concurrently-recording kernels follows wall-clock
+// arrival, so deterministic fixtures should use one tracer per kernel.
 type Tracer struct {
 	mu     sync.Mutex
 	events []TraceEvent

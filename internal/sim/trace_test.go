@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +46,49 @@ func TestKernelTracerAttachment(t *testing.T) {
 	k.SetTracer(tr)
 	if k.Tracer() != tr {
 		t.Fatal("tracer not attached")
+	}
+}
+
+// TestTracerConcurrentRecording pins the Tracer's race-safety contract: one
+// Tracer attached to several kernels, each run on its own goroutine, must
+// survive concurrent recording (-race) and lose no events, and each
+// kernel's events must keep their recording order.
+func TestTracerConcurrentRecording(t *testing.T) {
+	const kernels, perKernel = 4, 50
+	tr := NewTracer()
+	var wg sync.WaitGroup
+	errs := make([]error, kernels)
+	for i := 0; i < kernels; i++ {
+		k := NewKernel(int64(i))
+		k.SetTracer(tr)
+		track := "k" + string(rune('0'+i))
+		k.Go("w", func(p *Proc) {
+			for j := 0; j < perKernel; j++ {
+				p.Wait(100)
+				k.Tracer().Instant(track, "tick", p.Now())
+			}
+		})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = k.Run()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("kernel %d: %v", i, err)
+		}
+	}
+	if got := tr.Len(); got != kernels*perKernel {
+		t.Fatalf("tracer recorded %d events, want %d", got, kernels*perKernel)
+	}
+	last := map[string]Time{}
+	for _, e := range tr.Events() {
+		if e.At <= last[e.Track] {
+			t.Fatalf("track %s: event at %v after %v", e.Track, e.At, last[e.Track])
+		}
+		last[e.Track] = e.At
 	}
 }
 
