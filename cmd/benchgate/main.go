@@ -6,19 +6,9 @@
 // means the reproduction changed, and the gate exits non-zero with a
 // readable per-point diff.
 //
-// Host wall time is recorded in the golden for reference and only
-// thresholded (-wall-factor), never compared exactly.
-//
-// With -perf FILE a run also writes a host-performance sidecar (off by
-// default, so a plain gate run leaves the committed BENCH_PERF.json alone):
-// wall time, scheduler dispatches, dispatches/sec, plus the 100k-actor
-// KernelScale smoke's live-actor count and heap bytes/actor. Unlike the golden it is informational — it is how
-// kernel perf work is measured without touching the gated virtual-time
-// metrics. With -perf-baseline the sidecar grows teeth: the fresh
-// dispatches/sec is compared against the committed baseline and the run
-// fails if it regressed by more than -perf-regress percent (wall-factor
-// style: thresholded, never exact, so machine noise passes and real hot-path
-// regressions don't).
+// Host wall time is recorded in the golden for reference only. Host speed
+// is gated elsewhere: CI's perf job runs perfbench on the parent and the
+// change side by side (.github/perf-ab.sh).
 //
 // Usage:
 //
@@ -28,8 +18,6 @@
 //	benchgate -workers 8 | -seq                   # pool size (default GOMAXPROCS)
 //	benchgate -store sweep-store                  # persistent result cache
 //	benchgate -server http://127.0.0.1:7077       # gate against a sweepd daemon
-//	benchgate -perf BENCH_PERF.json               # (re)write the host-perf sidecar
-//	benchgate -perf-baseline BENCH_PERF.json      # fail on >25% dispatches/sec regression
 //	benchgate -cpuprofile cpu.pprof -memprofile mem.pprof
 //	benchgate -shuffle-seeds 16                   # schedule-invariance fuzz
 //
@@ -38,8 +26,7 @@
 // recomputing, and the result is byte-identical either way. With -server URL
 // the points are fetched from a running sweepd daemon instead of computed
 // here — the third execution mode that must also gate byte-identically. The
-// perf sidecar and shuffle fuzz measure local execution, so -server skips
-// the sidecar and refuses -shuffle-seeds.
+// shuffle fuzz perturbs local execution, so -server refuses -shuffle-seeds.
 //
 // With -shuffle-seeds N the gate additionally re-runs the entire sweep N
 // times under seeded schedule perturbation (sim.SetShuffleSeed): same-time
@@ -74,10 +61,6 @@ func main() {
 		report     = flag.String("report", "", "also write the diff report (or 'no drift') to this file")
 		workers    = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS")
 		seq        = flag.Bool("seq", false, "sequential execution (same as -workers 1)")
-		wallFactor = flag.Float64("wall-factor", 10, "fail if host wall time exceeds this multiple of the golden's recorded wall time; 0 disables")
-		perf       = flag.String("perf", "", "write host-perf stats (wall time, dispatches/sec) to this file; '' (default) disables")
-		perfBase   = flag.String("perf-baseline", "", "compare this run's dispatches/sec against this committed perf sidecar and fail on regression beyond -perf-regress")
-		perfReg    = flag.Float64("perf-regress", 25, "allowed dispatches/sec regression vs -perf-baseline, in percent; 0 disables")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the gate run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the gate run to this file")
 
@@ -113,9 +96,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchgate: -shuffle-seeds measures local execution; not available with -server")
 			os.Exit(2)
 		}
-		// The perf sidecar records local scheduler cost, which a remote
-		// fetch does not exercise; don't clobber it with zeros.
-		*perf = ""
 	}
 
 	if *cpuProfile != "" {
@@ -141,8 +121,6 @@ func main() {
 			r = runner.New(*workers)
 		}
 	}
-	d0 := sim.TotalDispatched()
-	e0 := sim.TotalElided()
 	t0 := time.Now()
 	var got bench.Golden
 	if *server != "" {
@@ -155,9 +133,6 @@ func main() {
 		got = bench.CollectGolden(r, nil)
 	}
 	wall := time.Since(t0)
-	dispatches := sim.TotalDispatched() - d0
-	elided := sim.TotalElided() - e0
-	effective := float64(dispatches+elided) / wall.Seconds()
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -188,84 +163,6 @@ func main() {
 		hits, misses := r.Stats()
 		fmt.Printf("benchgate: %d points (%d computed, %d memoized) in %.1fs on %d workers\n",
 			len(got.Points), misses, hits, wall.Seconds(), r.Workers())
-	}
-	if *server == "" {
-		fmt.Printf("benchgate: %d dispatches + %d elided, %.0f dispatches/sec, %.0f effective events/sec\n",
-			dispatches, elided, float64(dispatches)/wall.Seconds(), effective)
-	}
-
-	// Read the perf baseline before refreshing the sidecar: with both flags
-	// at the default BENCH_PERF.json path the gate must compare against the
-	// committed figures, not the file this run just wrote.
-	var baseRaw []byte
-	if *perfBase != "" && *perfReg > 0 && *server == "" {
-		raw, err := os.ReadFile(*perfBase)
-		if err != nil {
-			fatal(fmt.Errorf("reading perf baseline: %w", err))
-		}
-		baseRaw = raw
-	}
-
-	if *perf != "" {
-		// The 100k-actor KernelScale smoke: how much a fabric-scale world
-		// costs to hold. Runs after the gate measurement window so its
-		// dispatches and wall time don't pollute the throughput figures.
-		sc := bench.MeasureKernelScale(100_000, 2)
-		fmt.Printf("benchgate: kernel scale: %d live actors, %.0f heap bytes/actor\n",
-			sc.LiveActors, sc.BytesPerActor)
-		p := bench.Perf{
-			Schema:                bench.PerfSchema,
-			Description:           "host-side cost of the benchgate run (informational; the golden gates virtual time)",
-			GOARCH:                runtime.GOARCH,
-			Workers:               r.Workers(),
-			Points:                len(got.Points),
-			WallMS:                wall.Milliseconds(),
-			Dispatches:            dispatches,
-			DispatchesPerSec:      float64(dispatches) / wall.Seconds(),
-			ElidedEvents:          elided,
-			EffectiveEventsPerSec: effective,
-			LiveActors:            sc.LiveActors,
-			BytesPerActor:         sc.BytesPerActor,
-		}
-		b, err := bench.EncodePerf(p)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*perf, b, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
-	// Host-perf regression gate (wall-factor style: thresholded, never
-	// exact). CI points -perf-baseline at the committed sidecar so a
-	// scheduler regression beyond the noise band fails the job while the
-	// fresh sidecar is still uploaded as an informational artifact.
-	if baseRaw != nil {
-		base, err := bench.DecodePerf(baseRaw)
-		if err != nil {
-			fatal(err)
-		}
-		// The fresh figure always counts elided events (they are simulated
-		// work the kernel absorbed, not work that vanished). The baseline
-		// figure depends on its schema: schema-2 sidecars recorded the
-		// effective rate; schema-1 sidecars predate elision, so their raw
-		// dispatches/sec IS the effective rate of their day.
-		fresh := effective
-		baseRate := base.DispatchesPerSec
-		label := "dispatches/sec"
-		if base.Schema >= 2 && base.EffectiveEventsPerSec > 0 {
-			baseRate = base.EffectiveEventsPerSec
-			label = "effective events/sec"
-		}
-		floor := baseRate * (1 - *perfReg/100)
-		if baseRate > 0 && fresh < floor {
-			fmt.Fprintf(os.Stderr,
-				"benchgate: %s %.0f is below %.0f (baseline %.0f from %s, -perf-regress %.0f%%) — scheduler hot path regressed\n",
-				label, fresh, floor, baseRate, *perfBase, *perfReg)
-			os.Exit(1)
-		}
-		fmt.Printf("benchgate: %s %.0f vs baseline %.0f (floor %.0f) — ok\n",
-			label, fresh, baseRate, floor)
 	}
 
 	if *shuffleSeeds > 0 {
@@ -309,11 +206,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(out)
-	if *wallFactor > 0 && golden.WallMS > 0 && wall.Milliseconds() > int64(*wallFactor*float64(golden.WallMS)) {
-		fmt.Fprintf(os.Stderr, "benchgate: host wall time %v exceeds %.0fx the golden's %dms — the gate itself got too slow\n",
-			wall, *wallFactor, golden.WallMS)
-		os.Exit(1)
-	}
 }
 
 // verifyShuffleInvariance re-runs the full gate sweep under n schedule-

@@ -36,8 +36,8 @@ type Golden struct {
 	// can be diagnosed at a glance.
 	GOARCH string `json:"goarch,omitempty"`
 	// WallMS is the host wall-clock duration of the run that wrote the
-	// file, in milliseconds. Informational: virtual metrics gate exactly,
-	// wall time is only thresholded (see cmd/benchgate -wall-factor).
+	// file, in milliseconds. Informational only: virtual metrics gate
+	// exactly, and host speed is gated by perfbench.
 	WallMS int64                     `json:"wall_ms,omitempty"`
 	Points map[string]runner.Metrics `json:"points"`
 }

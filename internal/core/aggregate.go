@@ -38,7 +38,7 @@ func EstimateEpochTime(m *cluster.Model, grid, block int, bytes int64, linkLaten
 	}
 	bpw := m.BlocksPerWave(block)
 	perPart := bytes / int64(parts)
-	wire := sim.Duration(float64(perPart) / linkBytesPerSec * 1e9)
+	wire := sim.Nanoseconds(float64(perPart) / linkBytesPerSec * 1e9)
 	// Fixed per-partition detection path (flag store + visibility + poll).
 	detect := m.HostFlagWriteGap + m.HostFlagWriteLatency + m.ProgressPollInterval
 	// Per-partition host issue work: the progression engine serializes the

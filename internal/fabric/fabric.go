@@ -156,7 +156,7 @@ func (f *Fabric) TransferBytes(src, dst int, bytes int64) sim.Duration {
 	p := f.Route(src, dst)
 	d := p.Latency + p.PerOpOverhead
 	if p.BytesPerSec > 0 {
-		d += sim.Duration(float64(bytes) / p.BytesPerSec * 1e9)
+		d += sim.Nanoseconds(float64(bytes) / p.BytesPerSec * 1e9)
 	}
 	return d
 }

@@ -91,7 +91,7 @@ func (d *Device) ClaimWave(wave sim.Duration) sim.Time {
 	if d.smBusyUntil > start {
 		start = d.smBusyUntil
 	}
-	d.smBusyUntil = start + sim.Time(wave)
+	d.smBusyUntil = start.Add(wave)
 	return d.smBusyUntil
 }
 

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -529,4 +531,20 @@ func TestSingleStreamTimingUnchangedByContentionModel(t *testing.T) {
 	if end != want {
 		t.Fatalf("end = %v, want %v", end, want)
 	}
+}
+
+// TestClaimWaveOverflow: a wave ending past the end of virtual time panics
+// with a virtual time overflow instead of wrapping the SMs' busy horizon
+// negative, which would let every later wave start at once.
+func TestClaimWaveOverflow(t *testing.T) {
+	_, _, d := newTestDevice()
+	if got := d.ClaimWave(1 << 62); got != 1<<62 {
+		t.Fatalf("first wave ends at %d", got)
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "virtual time overflow") {
+			t.Fatalf("second wave: recovered %v, want a virtual time overflow", r)
+		}
+	}()
+	d.ClaimWave(1 << 62)
 }

@@ -63,7 +63,7 @@ func (r *Rank) Allreduce(p *sim.Proc, buf []float64, op ReduceOp) {
 	// full-size copies per call to the measured host time.
 	r.Dev.MemcpyD2H(p, bytes)
 
-	reduceCost := sim.Duration(float64(bytes) / r.W.Model.CPUReduceBytesPerSec * 1e9)
+	reduceCost := sim.Nanoseconds(float64(bytes) / r.W.Model.CPUReduceBytesPerSec * 1e9)
 	if r.ID == 0 {
 		// Linear reduce at root: receive and fold each peer in turn. The
 		// receive scratch lives on the rank and is reused across calls; a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -412,5 +413,78 @@ func TestCatalogKeysMatchGateKeys(t *testing.T) {
 		if got.Key != p.Key {
 			t.Fatalf("point %q: catalog key %s != gate key %s", p.ID, got.Key, p.Key)
 		}
+	}
+}
+
+// TestOverflowModelsAnswerPromptly: two override models pass
+// cluster.Model.Validate yet drive virtual time past the int64 range. Each
+// must answer all gate points within 5 s, and each point must be either a
+// diagnosed virtual time overflow or a sane result. A 1<<62 ns poll period
+// used to wrap the clock negative on the second poll and spin sweepd
+// forever; a near-zero IB bandwidth used to turn into a negative wire
+// occupancy and make two-node points faster than the default model.
+func TestOverflowModelsAnswerPromptly(t *testing.T) {
+	var ids []string
+	for _, p := range bench.GatePoints(nil) {
+		ids = append(ids, p.ID)
+	}
+	srv := NewServer(Config{Workers: 4})
+	def := srv.Sweep(Request{Points: ids}).Results
+
+	sweep := func(name string, m cluster.Model) []PointResult {
+		t.Helper()
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s model: %v", name, err)
+		}
+		done := make(chan Response, 1)
+		go func() { done <- srv.Sweep(Request{Points: ids, Model: &m}) }()
+		select {
+		case resp := <-done:
+			return resp.Results
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s model: no answer within 5s", name)
+			return nil
+		}
+	}
+	overflowed := func(r PointResult) bool {
+		return r.Source == SourceError && strings.Contains(r.Error, "virtual time overflow")
+	}
+
+	slowIB := cluster.DefaultModel()
+	slowIB.IBBytesPerSec = 1e-300
+	var errs int
+	for i, r := range sweep("IB", slowIB) {
+		switch {
+		case overflowed(r):
+			errs++
+		case r.Error != "" || !r.Metrics.Equal(def[i].Metrics):
+			t.Errorf("IB model, %s: %+v, want an overflow or the default result %v", r.Point, r, def[i].Metrics)
+		}
+	}
+	t.Logf("IB model: %d of %d points overflowed", errs, len(ids))
+	if errs == 0 {
+		t.Error("IB model: no two-node point reported an overflow")
+	}
+
+	slowPoll := cluster.DefaultModel()
+	slowPoll.ProgressPollInterval = 1 << 62
+	errs = 0
+	for _, r := range sweep("poll", slowPoll) {
+		if overflowed(r) {
+			errs++
+			continue
+		}
+		if r.Error != "" {
+			t.Errorf("poll model, %s: %s", r.Point, r.Error)
+		}
+		for k, v := range r.Metrics {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Errorf("poll model, %s: %s = %v", r.Point, k, v)
+			}
+		}
+	}
+	t.Logf("poll model: %d of %d points overflowed", errs, len(ids))
+	if errs == 0 {
+		t.Error("poll model: no polling point reported an overflow")
 	}
 }

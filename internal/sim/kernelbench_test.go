@@ -154,9 +154,8 @@ func BenchmarkMixedWorkload(b *testing.B) {
 // are heap-B/actor (heap growth of building and parking the world, divided
 // by the actor count; Proc stacks are not heap so this is dominated by Task
 // structs and the waiter ring) and allocs/dispatch over the measured rounds,
-// which must sit at zero in steady state. A sidecar-reporting twin lives in
-// internal/bench/scale.go (MeasureKernelScale) so BENCH_PERF.json tracks
-// these numbers across commits.
+// which must sit at zero in steady state. TestKernelScaleWorld checks the
+// same world's shape at a unit-test size.
 func benchmarkKernelScale(b *testing.B, actors int) {
 	b.ReportAllocs()
 	runtime.GC()
@@ -164,26 +163,12 @@ func benchmarkKernelScale(b *testing.B, actors int) {
 	runtime.ReadMemStats(&ms0)
 
 	k := NewKernel(1)
-	c := NewCond(k, "scale")
-	procs := actors / 64
-	for i := 0; i < procs; i++ {
-		k.GoDaemonID("sp", i, func(p *Proc) {
-			for {
-				c.Wait(p)
-			}
-		})
-	}
-	for i := procs; i < actors; i++ {
-		k.SpawnTaskDaemonID("st", i, func(t *Task) { c.Await(t) })
-	}
+	c := spawnScaleWorld(k, actors)
 
 	var bytesPerActor, allocsPerDispatch float64
 	k.Go("driver", func(p *Proc) {
 		p.Wait(1) // every waiter has run once and parked
-		runtime.GC()
-		var ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms1)
-		bytesPerActor = float64(ms1.HeapAlloc-ms0.HeapAlloc) / float64(actors)
+		bytesPerActor = heapPerActor(&ms0, actors)
 		c.Broadcast() // warm round: size the wake ring once
 		p.Wait(1)
 		d0 := k.Dispatched() // per-kernel count is live; TotalDispatched flushes at Run exit
@@ -202,6 +187,72 @@ func benchmarkKernelScale(b *testing.B, actors int) {
 	}
 	b.ReportMetric(bytesPerActor, "heap-B/actor")
 	b.ReportMetric(allocsPerDispatch, "allocs/dispatch")
+}
+
+// spawnScaleWorld parks `actors` daemon waiters on one Cond of k — one Proc
+// per 64 actors, the rest continuation Tasks, the rank-to-leaf-actor ratio
+// of a large fabric — and returns the Cond.
+func spawnScaleWorld(k *Kernel, actors int) *Cond {
+	c := NewCond(k, "scale")
+	procs := actors / 64
+	for i := 0; i < procs; i++ {
+		k.GoDaemonID("sp", i, func(p *Proc) {
+			for {
+				c.Wait(p)
+			}
+		})
+	}
+	for i := procs; i < actors; i++ {
+		k.SpawnTaskDaemonID("st", i, func(t *Task) { c.Await(t) })
+	}
+	return c
+}
+
+// heapPerActor is the heap growth since ms0, after a GC, divided by actors.
+func heapPerActor(ms0 *runtime.MemStats, actors int) float64 {
+	runtime.GC()
+	var ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms1)
+	return float64(ms1.HeapAlloc-ms0.HeapAlloc) / float64(actors)
+}
+
+// TestKernelScaleWorld checks the scale world at a unit-test size: the
+// kernel holds exactly the requested actors, each costs a plausible
+// (nonzero, sub-8KB) heap footprint, and every broadcast round dispatches
+// every actor again.
+func TestKernelScaleWorld(t *testing.T) {
+	const actors, rounds = 2_000, 2
+	runtime.GC()
+	var ms0 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+
+	k := NewKernel(1)
+	c := spawnScaleWorld(k, actors)
+	var live int
+	var bytesPerActor float64
+	k.Go("driver", func(p *Proc) {
+		p.Wait(1) // every waiter has run once and parked
+		live = k.LiveActors() - 1
+		bytesPerActor = heapPerActor(&ms0, actors)
+		for r := 0; r < rounds; r++ {
+			c.Broadcast()
+			p.Wait(1)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if live != actors {
+		t.Fatalf("LiveActors = %d, want %d", live, actors)
+	}
+	if bytesPerActor <= 0 || bytesPerActor > 8192 {
+		t.Fatalf("heap per actor = %.0f B, want in (0, 8192]", bytesPerActor)
+	}
+	// Spawn and park is one dispatch per actor, then each round dispatches
+	// every waiter again.
+	if min := int64(actors * (rounds + 1)); k.Dispatched() < min {
+		t.Fatalf("Dispatched = %d, want at least %d", k.Dispatched(), min)
+	}
 }
 
 // BenchmarkKernelScale10k broadcasts over 10k mixed actors: 156 procs +

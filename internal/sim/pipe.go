@@ -49,7 +49,7 @@ func NewPipe(k *Kernel, name string, latency Duration, bytesPerSec float64) *Pip
 func (pp *Pipe) serialize(size int64) Duration {
 	d := pp.PerOpOverhead
 	if pp.BytesPerSec > 0 && size > 0 {
-		d += Duration(float64(size) / pp.BytesPerSec * 1e9)
+		d += Nanoseconds(float64(size) / pp.BytesPerSec * 1e9)
 	}
 	return d
 }
@@ -62,11 +62,11 @@ func (pp *Pipe) Transfer(size int64) (delivered Time) {
 		start = pp.busyUntil
 	}
 	occ := pp.serialize(size)
-	pp.busyUntil = start + Time(occ)
+	pp.busyUntil = start.Add(occ)
 	pp.ops++
 	pp.bytes += size
 	pp.busyTotal += occ
-	return pp.busyUntil + Time(pp.Latency)
+	return pp.busyUntil.Add(pp.Latency)
 }
 
 // TransferThen enqueues a transfer and schedules fn at its delivery time.

@@ -93,11 +93,48 @@ const (
 	Second      Duration = 1000 * 1000 * 1000
 )
 
-// Microseconds converts a float microsecond count to a Duration.
-func Microseconds(us float64) Duration { return Duration(us * 1000) }
+// Microseconds converts a float microsecond count to a Duration. Like
+// Nanoseconds it panics when the count does not fit.
+func Microseconds(us float64) Duration { return Nanoseconds(us * 1000) }
 
-// Nanoseconds converts a float nanosecond count to a Duration.
-func Nanoseconds(ns float64) Duration { return Duration(ns) }
+// Nanoseconds converts a float nanosecond count to a Duration. A count
+// outside the int64 range, infinite or NaN — a model bandwidth near zero,
+// say — panics with a virtual time overflow instead of converting to an
+// arbitrary (on amd64, negative) duration.
+func Nanoseconds(ns float64) Duration {
+	if !(ns >= -(1<<63) && ns < 1<<63) {
+		panic(overflowError{ns: ns})
+	}
+	return Duration(ns)
+}
+
+// Add returns t+d. A sum outside the int64 range panics with a virtual time
+// overflow: a wrapped clock would run backwards, and every timer armed from
+// it would fire at once.
+func (t Time) Add(d Duration) Time {
+	s := t + Time(d)
+	if (s > t) != (d > 0) {
+		panic(overflowError{t: t, d: d})
+	}
+	return s
+}
+
+// overflowError is the panic value of a virtual time overflow: either a
+// float count ns that is no Duration, or a sum t+d outside the int64 range.
+// Formatting happens only when the panic is reported, so the checks cost
+// their callers no inlining budget beyond a compare and a branch.
+type overflowError struct {
+	ns float64
+	t  Time
+	d  Duration
+}
+
+func (e overflowError) Error() string {
+	if e.d == 0 {
+		return fmt.Sprintf("sim: virtual time overflow: %g ns is not a duration", e.ns)
+	}
+	return fmt.Sprintf("sim: virtual time overflow: %d ns + %d ns", int64(e.t), int64(e.d))
+}
 
 // Micros reports the Time as fractional microseconds (for reporting).
 func (t Time) Micros() float64 { return float64(t) / 1000 }
@@ -495,7 +532,7 @@ func (k *Kernel) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (k *Kernel) After(d Duration, fn func()) { k.At(k.now+Time(d), fn) }
+func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 
 // Go creates a new Proc running body. The Proc becomes runnable at the
 // current virtual time. Go may be called before Run or from inside a running
@@ -613,7 +650,7 @@ func (p *Proc) Wait(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.WaitUntil(p.k.now + Time(d))
+	p.WaitUntil(p.k.now.Add(d))
 }
 
 // WaitUntil parks the Proc until absolute virtual time t.

@@ -245,7 +245,7 @@ func (t *Task) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.SleepUntil(t.k.now + Time(d))
+	t.SleepUntil(t.k.now.Add(d))
 }
 
 // SleepUntil arms the continuation to run at absolute virtual time at. The
