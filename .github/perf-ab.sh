@@ -11,9 +11,10 @@
 # first alternating per pair; each side builds into its own CARGO_TARGET_DIR.
 # The script fails when a run fails or reports correct:false, or when the
 # change's median is worse than the parent's by more than the metric's bound
-# in BENCHMARK.json for events_per_s on events or sweep_s on figures_cold.
-# Every other end-to-end median and both sides' exact counts go to
-# $GITHUB_STEP_SUMMARY (standard output when unset) without gating.
+# in BENCHMARK.json for events_per_s on events, sweep_s on figures_cold, or
+# rss_peak_mb on either. Every other end-to-end median and both sides' exact
+# counts go to $GITHUB_STEP_SUMMARY (standard output when unset) without
+# gating.
 set -euo pipefail
 base_ref=${1:?usage: perf-ab.sh BASE_REF}
 root=$(git rev-parse --show-toplevel)
@@ -44,18 +45,18 @@ done
 python3 - "$work" "$root/BENCHMARK.json" <<'EOF'
 import json, os, statistics, sys
 work, spec = sys.argv[1], json.load(open(sys.argv[2]))
-gated = {"events": "events_per_s", "figures_cold": "sweep_s"}
+gated = {"events": ("events_per_s", "rss_peak_mb"), "figures_cold": ("sweep_s", "rss_peak_mb")}
 sides = ("base", "change")
 out = open(os.environ.get("GITHUB_STEP_SUMMARY") or "/dev/stdout", "a")
 fails = []
 out.write("| workload | metric | parent | change | worse by | bound |\n|---|---|---|---|---|---|\n")
-for w, gate in gated.items():
+for w, gates in gated.items():
     runs = {s: [json.loads(l) for l in open(f"{work}/{s}-{w}.jsonl")] for s in sides}
     for m in spec["end_to_end"]:
         base, new = (statistics.median(r["metrics"][m["name"]]["value"] for r in runs[s]) for s in sides)
         worse = ((new - base) if m["better"] == "lower" else (base - new)) / base if base else 0.0
         mark = ""
-        if m["name"] == gate:
+        if m["name"] in gates:
             mark = " **gated**"
             if worse > m["bound"]:
                 fails.append(f"{w}: {m['name']} median {new:.6g} vs parent {base:.6g}, worse by {worse:.1%} > bound {m['bound']:.0%}")

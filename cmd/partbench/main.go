@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"mpipart/internal/bench"
 	"mpipart/internal/cluster"
@@ -36,6 +37,10 @@ func main() {
 	if *inter {
 		cfg.Topo = cluster.TwoNodeGH200()
 		cfg.Receiver = 4
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "partbench:", err)
+		os.Exit(2)
 	}
 	bytes := float64(*grid) * 1024 * 8
 

@@ -95,6 +95,12 @@ func main() {
 		m := model
 		intra := bench.P2PConfig{Topo: cluster.OneNodeGH200(), Receiver: 1, Grid: *grid, Parts: 1, Model: &m}
 		inter := bench.P2PConfig{Topo: cluster.TwoNodeGH200(), Receiver: 4, Grid: *grid, Parts: 2, Model: &m}
+		for _, cfg := range []bench.P2PConfig{intra, inter} {
+			if err := cfg.Validate(); err != nil {
+				fmt.Fprintln(os.Stderr, "sweep:", err)
+				os.Exit(2)
+			}
+		}
 		id := fmt.Sprintf("sweep/%s/%d", pt.label, pi)
 		rps = append(rps,
 			bench.TraditionalPoint(id+"/tr-intra", intra),

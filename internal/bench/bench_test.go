@@ -199,6 +199,30 @@ func TestMeasurePartitionedDeterministic(t *testing.T) {
 	}
 }
 
+// TestMeasurePartitionedRejectsUnevenGrid: a grid that does not split
+// evenly into partitions would leave the last partition with more blocks
+// than its aggregation threshold (sent before its last block ran), or
+// overrun it (Kernel Copy). Both mechanisms refuse it with one message.
+func TestMeasurePartitionedRejectsUnevenGrid(t *testing.T) {
+	cfg := P2PConfig{Topo: cluster.OneNodeGH200(), Receiver: 1, Grid: 3, Parts: 2}
+	const want = "bench: grid 3 is not a multiple of the partition count 2"
+	if err := cfg.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate() = %v, want %q", err, want)
+	}
+	for _, mech := range []core.Mechanism{core.ProgressionEngine, core.KernelCopy} {
+		func() {
+			defer func() {
+				rec := recover()
+				err, ok := rec.(error)
+				if !ok || err.Error() != want {
+					t.Errorf("%v: panic %v, want %q", mech, rec, want)
+				}
+			}()
+			MeasurePartitioned(cfg, mech)
+		}()
+	}
+}
+
 func TestMeasureJacobiVariantsAgree(t *testing.T) {
 	cfg := jacobi.Config{PX: 2, PY: 2, NX: 16, NY: 16, Iters: 3}
 	tr := MeasureJacobi(cluster.OneNodeGH200(), cfg, jacobi.Traditional)

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"mpipart/internal/cluster"
 	"mpipart/internal/core"
 	"mpipart/internal/gpu"
@@ -235,13 +237,19 @@ func PartitionedPoint(id string, cfg P2PConfig, mech core.Mechanism) runner.Poin
 	return elapsedPoint(id, key, func() float64 { return float64(MeasurePartitioned(cfg, mech)) })
 }
 
-// MeasureTraditional times the Listing-1 model: kernel, stream sync,
+// MeasureTraditional times the Listing-1 model on a timing-only world; see
+// traditionalOn.
+func MeasureTraditional(cfg P2PConfig) sim.Duration {
+	w := measureWorld(cfg.Topo, cfg.model(), true)
+	defer w.Free()
+	return traditionalOn(w, cfg)
+}
+
+// traditionalOn times the Listing-1 model on w: kernel, stream sync,
 // MPI_Send (receiver pre-posts). Returns the sender-side elapsed time of
 // the steady-state (third) iteration.
-func MeasureTraditional(cfg P2PConfig) sim.Duration {
+func traditionalOn(w *mpi.World, cfg P2PConfig) sim.Duration {
 	var elapsed sim.Duration
-	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
-	defer w.Free()
 	n := cfg.Grid * 1024
 	const iters = 3
 	w.Spawn(func(r *mpi.Rank) {
@@ -275,23 +283,48 @@ func MeasureTraditional(cfg P2PConfig) sim.Duration {
 	return elapsed
 }
 
-// MeasurePartitioned times the GPU-initiated model for either mechanism:
-// the steady-state epoch's kernel launch → MPI_Wait span (Start and
-// Pbuf_prepare run outside the timed region, as in Section VI-A; their
-// costs are Table I's subject).
+// partitions returns the transport partition count of a partitioned run
+// (Parts, at least 1 and at most Grid) and the blocks aggregated into each.
+// Every partition must aggregate the same number of blocks, so a grid that
+// is not a multiple of the partition count is an error.
+func (c P2PConfig) partitions() (parts, blocksPer int, err error) {
+	if c.Grid < 1 {
+		return 0, 0, fmt.Errorf("bench: grid %d is not positive", c.Grid)
+	}
+	parts = min(max(c.Parts, 1), c.Grid)
+	if c.Grid%parts != 0 {
+		return 0, 0, fmt.Errorf("bench: grid %d is not a multiple of the partition count %d", c.Grid, parts)
+	}
+	return parts, c.Grid / parts, nil
+}
+
+// Validate reports whether MeasurePartitioned can run the config: the grid
+// must be positive and split evenly across the transport partitions.
+func (c P2PConfig) Validate() error {
+	_, _, err := c.partitions()
+	return err
+}
+
+// MeasurePartitioned times the GPU-initiated model for either mechanism on
+// a timing-only world; see partitionedOn.
 func MeasurePartitioned(cfg P2PConfig, mech core.Mechanism) sim.Duration {
-	var elapsed sim.Duration
-	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
+	w := measureWorld(cfg.Topo, cfg.model(), true)
 	defer w.Free()
+	return partitionedOn(w, cfg, mech)
+}
+
+// partitionedOn times the GPU-initiated model on w: the steady-state
+// epoch's kernel launch → MPI_Wait span (Start and Pbuf_prepare run
+// outside the timed region, as in Section VI-A; their costs are Table I's
+// subject). It panics with Validate's error on a config whose grid does
+// not split evenly into partitions.
+func partitionedOn(w *mpi.World, cfg P2PConfig, mech core.Mechanism) sim.Duration {
+	parts, blocksPer, err := cfg.partitions()
+	if err != nil {
+		panic(err)
+	}
+	var elapsed sim.Duration
 	n := cfg.Grid * 1024
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = 1
-	}
-	if parts > cfg.Grid {
-		parts = cfg.Grid
-	}
-	blocksPer := cfg.Grid / parts
 	const iters = 3
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
@@ -318,11 +351,8 @@ func MeasurePartitioned(cfg P2PConfig, mech core.Mechanism) sim.Duration {
 					Name: "vecadd+pready", Grid: cfg.Grid, Block: 1024,
 					Body: func(b *gpu.BlockCtx) {
 						part := b.Idx / blocksPer
-						if part >= parts {
-							part = parts - 1
-						}
 						if mech == core.KernelCopy {
-							lo := b.Idx*1024 - part*blocksPer*1024
+							lo := (b.Idx - part*blocksPer) * 1024
 							preq.KernelCopyRange(b, part, lo, lo+1024)
 						} else {
 							preq.PreadyBlockAggregated(b, part)

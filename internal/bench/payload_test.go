@@ -4,15 +4,21 @@ import (
 	"testing"
 
 	"mpipart/internal/cluster"
+	"mpipart/internal/core"
 	"mpipart/internal/dl"
 	"mpipart/internal/gpu"
 	"mpipart/internal/mpi"
 	"mpipart/internal/runner"
+	"mpipart/internal/sim"
 )
 
-// payloadGrids are the grids the payload-mode tests cover in every
-// timing-only family (Figs. 6/7 and 10/11).
+// payloadGrids are the grids the payload-mode tests cover in the
+// collective timing-only families (Figs. 6/7 and 10/11).
 var payloadGrids = []int{128, 256}
+
+// p2pPayloadGrids are the grids they cover in the point-to-point family
+// (Figs. 4/5): one block, and a grid Fig. 5 splits into two partitions.
+var p2pPayloadGrids = []int{1, 64}
 
 // payloadCase is one timing-only catalog measurement, run on a world the
 // test builds so it can pick the payload mode and read the kernel counters.
@@ -24,6 +30,25 @@ type payloadCase struct {
 
 func payloadCases() []payloadCase {
 	var cs []payloadCase
+	for _, g := range p2pPayloadGrids {
+		intra := P2PConfig{Topo: cluster.OneNodeGH200(), Receiver: 1, Grid: g, Parts: 1}
+		inter := P2PConfig{Topo: cluster.TwoNodeGH200(), Receiver: 4, Grid: g, Parts: fig5Parts(g)}
+		for _, v := range []struct {
+			id  string
+			cfg P2PConfig
+			on  func(w *mpi.World, cfg P2PConfig) sim.Duration
+		}{
+			{"fig4/g=" + itoa(g) + "/sendrecv", intra, traditionalOn},
+			{"fig4/g=" + itoa(g) + "/prog_engine", intra, partitionedOnWith(core.ProgressionEngine)},
+			{"fig4/g=" + itoa(g) + "/kernel_copy", intra, partitionedOnWith(core.KernelCopy)},
+			{"fig5/g=" + itoa(g) + "/sendrecv", inter, traditionalOn},
+			{"fig5/g=" + itoa(g) + "/prog_engine", inter, partitionedOnWith(core.ProgressionEngine)},
+		} {
+			cs = append(cs, payloadCase{v.id, v.cfg.Topo, func(w *mpi.World) runner.Metrics {
+				return runner.Metrics{"elapsed_ns": float64(v.on(w, v.cfg))}
+			}})
+		}
+	}
 	for _, ft := range []figTopo{
 		{"fig6", cluster.OneNodeGH200()}, {"fig7", cluster.TwoNodeGH200()},
 	} {
@@ -59,6 +84,11 @@ func payloadCases() []payloadCase {
 	return cs
 }
 
+// partitionedOnWith binds partitionedOn to one mechanism.
+func partitionedOnWith(mech core.Mechanism) func(w *mpi.World, cfg P2PConfig) sim.Duration {
+	return func(w *mpi.World, cfg P2PConfig) sim.Duration { return partitionedOn(w, cfg, mech) }
+}
+
 // TestTimingOnlyMatchesFullPayload is the gate on timing-only payload mode:
 // for every variant of the timing-only families, a full-payload world and a
 // timing-only world must report identical metrics and run identical
@@ -91,11 +121,18 @@ func TestTimingOnlyMatchesFullPayload(t *testing.T) {
 // and under -race as a data race between the concurrent worlds.
 func TestTimingOnlyPointsLeaveBackingZero(t *testing.T) {
 	maxGrid := payloadGrids[len(payloadGrids)-1]
-	// Grow the backing to the largest buffer first, so every buffer below
-	// aliases this one array.
-	before := gpu.LengthOnly(maxGrid * 1024)
+	// The p2p points run up to the catalog's grid cap: their buffers are
+	// cheap, and Kernel Copy's per-block stores then span a 16 MiB buffer.
+	const p2pMaxGrid = 2048
+	// Grow the backing to the largest buffer first (a p2p point's
+	// p2pMaxGrid*1024 elements), so every buffer below aliases this one
+	// array.
+	before := gpu.LengthOnly(p2pMaxGrid * 1024)
 	var pts []runner.Point
-	for _, j := range []Job{Fig6Job(maxGrid), Fig7Job(maxGrid), Fig10Job(maxGrid), Fig11Job(maxGrid)} {
+	for _, j := range []Job{
+		Fig4Job(p2pMaxGrid), Fig5Job(p2pMaxGrid),
+		Fig6Job(maxGrid), Fig7Job(maxGrid), Fig10Job(maxGrid), Fig11Job(maxGrid),
+	} {
 		pts = append(pts, j.Points...)
 	}
 	for i, m := range runner.New(4).Run(pts) {
@@ -103,7 +140,7 @@ func TestTimingOnlyPointsLeaveBackingZero(t *testing.T) {
 			t.Errorf("%s: no metrics", pts[i].ID)
 		}
 	}
-	after := gpu.LengthOnly(maxGrid * 1024)
+	after := gpu.LengthOnly(p2pMaxGrid * 1024)
 	if &after[0] != &before[0] {
 		t.Fatal("the length-only backing was reallocated during the run")
 	}

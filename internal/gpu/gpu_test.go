@@ -548,3 +548,26 @@ func TestClaimWaveOverflow(t *testing.T) {
 	}()
 	d.ClaimWave(1 << 62)
 }
+
+// TestAllocZeroesRecycledSlab pins the invariant callers rely on instead of
+// zeroing buffers themselves (jacobi's initial guess): Alloc returns zeros
+// even when it hands out a slab an earlier device wrote and released.
+func TestAllocZeroesRecycledSlab(t *testing.T) {
+	const n = 3*1024 + 7 // a size no other test allocates
+	_, _, d := newTestDevice()
+	buf := d.Alloc(n)
+	for i := range buf {
+		buf[i] = float64(i + 1)
+	}
+	d.Release()
+	_, _, d2 := newTestDevice()
+	again := d2.Alloc(n)
+	if &again[0] != &buf[0] {
+		t.Fatal("Alloc did not recycle the released slab")
+	}
+	for i, v := range again {
+		if v != 0 {
+			t.Fatalf("recycled slab element %d = %v, want 0", i, v)
+		}
+	}
+}

@@ -139,14 +139,11 @@ func (s *state) neighbour(dx, dy int) int {
 	return ny*s.cfg.PX + nx
 }
 
-// initBoundary sets the initial guess (zero) and the Dirichlet condition:
-// the global top edge is held at 1. Halo buffers covering the physical
-// boundary hold the boundary value permanently.
+// initBoundary sets the Dirichlet condition: the global top edge is held
+// at 1. Halo buffers covering the physical boundary hold the boundary value
+// permanently. The initial guess is zero because gpu.Device.Alloc returns
+// zeroed buffers, fresh or recycled.
 func (s *state) initBoundary() {
-	for i := range s.a {
-		s.a[i] = 0
-		s.anew[i] = 0
-	}
 	if s.py == 0 { // tile touches the global top edge
 		for par := 0; par < 2; par++ {
 			for i := range s.haloN[par] {
