@@ -6,15 +6,15 @@
 #   .github/perf-ab.sh BASE_REF
 #
 # BASE_REF is checked out into a temporary git worktree. For each of the
-# events and figures_cold workloads, 5 pairs of
+# events, figures_cold and serve_mix workloads, 5 pairs of
 # `perfbench/run.sh --seed 1 --seconds 10 --trace 0` run, the side that goes
 # first alternating per pair; each side builds into its own CARGO_TARGET_DIR.
 # The script fails when a run fails or reports correct:false, or when the
 # change's median is worse than the parent's by more than the metric's bound
-# in BENCHMARK.json for events_per_s on events, sweep_s on figures_cold, or
-# rss_peak_mb on either. Every other end-to-end median and both sides' exact
-# counts go to $GITHUB_STEP_SUMMARY (standard output when unset) without
-# gating.
+# in BENCHMARK.json for events_per_s on events, sweep_s on figures_cold,
+# req_p50_ms on serve_mix, or rss_peak_mb on any of the three. Every other
+# end-to-end median and both sides' exact counts go to $GITHUB_STEP_SUMMARY
+# (standard output when unset) without gating.
 set -euo pipefail
 base_ref=${1:?usage: perf-ab.sh BASE_REF}
 root=$(git rev-parse --show-toplevel)
@@ -36,7 +36,7 @@ run() {
 	fi
 	tail -n 1 "$work/out" >>"$work/$1-$2.jsonl"
 }
-for w in events figures_cold; do
+for w in events figures_cold serve_mix; do
 	for i in 1 2 3 4 5; do
 		if ((i % 2)); then run base $w; run change $w; else run change $w; run base $w; fi
 	done
@@ -45,7 +45,11 @@ done
 python3 - "$work" "$root/BENCHMARK.json" <<'EOF'
 import json, os, statistics, sys
 work, spec = sys.argv[1], json.load(open(sys.argv[2]))
-gated = {"events": ("events_per_s", "rss_peak_mb"), "figures_cold": ("sweep_s", "rss_peak_mb")}
+gated = {
+    "events": ("events_per_s", "rss_peak_mb"),
+    "figures_cold": ("sweep_s", "rss_peak_mb"),
+    "serve_mix": ("req_p50_ms", "rss_peak_mb"),
+}
 sides = ("base", "change")
 out = open(os.environ.get("GITHUB_STEP_SUMMARY") or "/dev/stdout", "a")
 fails = []

@@ -4,10 +4,13 @@
 // deterministic virtual-time metrics of the simulated GH200 testbed,
 // through a persistent content-addressed result cache.
 //
-// The stack per request: identical in-flight requests coalesce into one
-// computation (batcher), results are served from an on-disk
-// content-addressed store when warm and written back when cold, and a
-// bounded pool runs the simulations that remain. Every byte served is
+// The stack per request: a default-catalog point the daemon has already
+// resolved is answered from memory; identical in-flight requests coalesce
+// into one computation (batcher); results are served from an on-disk
+// content-addressed store when warm and written back when cold; and a
+// bounded pool runs the simulations that remain. The memory tier holds
+// only the closed default catalog (about 210 results), never model
+// overrides, so it cannot grow with history. Every byte served is
 // verifiable: the same points gate byte-identically against
 // BENCH_GOLDEN.json whether computed in-process, read from a warm store,
 // or fetched from this daemon (cmd/benchgate -server).
@@ -16,7 +19,7 @@
 //
 //	sweepd                                  # 127.0.0.1:7077, store in ./sweepd-store
 //	sweepd -addr :8080 -store /var/sweep    # custom bind + store root
-//	sweepd -store ''                        # no persistence (coalescing only)
+//	sweepd -store ''                        # no persistence (memory + coalescing only)
 //	sweepd -workers 8                       # concurrent-simulation bound
 //	sweepd -recent 2048                     # /metrics per-request history
 //
@@ -59,7 +62,7 @@ func main() {
 		st = ds
 		log.Printf("sweepd: store at %s (key schema v%d)", ds.Root(), runner.KeySchema)
 	} else {
-		log.Printf("sweepd: no persistent store (coalescing only)")
+		log.Printf("sweepd: no persistent store (memory and coalescing only)")
 	}
 
 	srv := serve.NewServer(serve.Config{Store: st, Workers: *workers, Recent: *recent})
@@ -90,7 +93,7 @@ func main() {
 		}
 	}
 	snap := srv.Metrics()
-	fmt.Printf("sweepd: served %d requests in %d batches (%d computed, %d store hits, %d coalesced, %d errors)\n",
-		snap.Totals.Requests, snap.Totals.Batches, snap.Totals.Computed,
+	fmt.Printf("sweepd: served %d requests in %d batches (%d memory hits, %d computed, %d store hits, %d coalesced, %d errors)\n",
+		snap.Totals.Requests, snap.Totals.Batches, snap.Totals.MemHits, snap.Totals.Computed,
 		snap.Totals.StoreHits, snap.Totals.Coalesced, snap.Totals.Errors)
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 
 	"mpipart/internal/sim"
 )
@@ -233,27 +234,30 @@ func DefaultModel() Model {
 	}
 }
 
-// Validate reports whether the model can drive a simulation. Every numeric
-// field must be finite and non-negative, and the fields that divide or
-// bound a loop must be positive: a zero SM count, poll interval or
-// bandwidth would stall virtual time instead of failing. A partial JSON
-// override zeroes every field it does not name, so callers accepting
-// models from outside (sweepd) must validate before simulating.
+// Range limits of a valid model. Calibrated costs are nanoseconds to
+// microseconds and bandwidths 3-450 GB/s; the limits sit orders of
+// magnitude outside that, yet keep every charged cost small enough that
+// no realistic run drives the int64 nanosecond clock near overflow.
+const (
+	// maxCost bounds every sim.Duration field, and the cost of mapping
+	// 1 GiB at MemMapPerByte.
+	maxCost = sim.Second
+	// minBytesPerSec is the floor of every *BytesPerSec field.
+	minBytesPerSec = 1e6
+)
+
+var durationType = reflect.TypeOf(sim.Duration(0))
+
+// Validate reports whether the model can drive a simulation. The fields
+// that divide or bound a loop must be positive: a zero SM count or poll
+// interval would stall virtual time instead of failing. Every numeric
+// field must be finite and non-negative, every duration at most maxCost,
+// every bandwidth at least minBytesPerSec, and mapping 1 GiB must cost
+// less than maxCost: a huge poll period or a near-zero bandwidth would
+// otherwise run virtual time past int64. A partial JSON override zeroes
+// every field it does not name, so callers accepting models from outside
+// (sweepd) must validate before simulating.
 func (m Model) Validate() error {
-	v := reflect.ValueOf(m)
-	for i := 0; i < v.NumField(); i++ {
-		name, f := v.Type().Field(i).Name, v.Field(i)
-		switch f.Kind() {
-		case reflect.Float64:
-			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
-				return fmt.Errorf("cluster: model %s = %v, want a finite non-negative value", name, x)
-			}
-		case reflect.Int, reflect.Int64:
-			if f.Int() < 0 {
-				return fmt.Errorf("cluster: model %s = %d is negative", name, f.Int())
-			}
-		}
-	}
 	for _, p := range []struct {
 		name string
 		ok   bool
@@ -262,15 +266,34 @@ func (m Model) Validate() error {
 		{"MaxThreadsPerSM", m.MaxThreadsPerSM > 0},
 		{"MaxBlocksPerSM", m.MaxBlocksPerSM > 0},
 		{"ProgressPollInterval", m.ProgressPollInterval > 0},
-		{"NVLinkBytesPerSec", m.NVLinkBytesPerSec > 0},
-		{"IBBytesPerSec", m.IBBytesPerSec > 0},
-		{"C2CBytesPerSec", m.C2CBytesPerSec > 0},
-		{"ShmBytesPerSec", m.ShmBytesPerSec > 0},
-		{"CPUReduceBytesPerSec", m.CPUReduceBytesPerSec > 0},
 	} {
 		if !p.ok {
 			return fmt.Errorf("cluster: model %s must be positive", p.name)
 		}
+	}
+	v := reflect.ValueOf(m)
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			x := f.Float()
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				return fmt.Errorf("cluster: model %s = %v, want a finite non-negative value", name, x)
+			}
+			if strings.HasSuffix(name, "BytesPerSec") && x < minBytesPerSec {
+				return fmt.Errorf("cluster: model %s = %v, want at least %g B/s", name, x, minBytesPerSec)
+			}
+		case reflect.Int, reflect.Int64:
+			if f.Int() < 0 {
+				return fmt.Errorf("cluster: model %s = %d is negative", name, f.Int())
+			}
+			if f.Type() == durationType && sim.Duration(f.Int()) > maxCost {
+				return fmt.Errorf("cluster: model %s = %d ns, want at most %d ns", name, f.Int(), int64(maxCost))
+			}
+		}
+	}
+	if m.MemMapPerByte*(1<<30) >= float64(maxCost) {
+		return fmt.Errorf("cluster: model MemMapPerByte = %v ns/byte maps 1 GiB in %d ns or more", m.MemMapPerByte, int64(maxCost))
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +205,72 @@ func TestModelValidate(t *testing.T) {
 	m.DeviceFlagPollCost = 0
 	if err := m.Validate(); err != nil {
 		t.Errorf("zero poll cost rejected: %v", err)
+	}
+}
+
+// TestModelValidateRanges: every duration is capped at one second, every
+// bandwidth floored at 1 MB/s, and MemMapPerByte must map 1 GiB in under a
+// second. The two overflow models that once wrapped virtual time trip
+// these bounds; the calibrated model and a benchmark-style override with
+// one latency stretched by half pass.
+func TestModelValidateRanges(t *testing.T) {
+	for _, name := range []string{"StreamSyncCost", "KernelLaunchCost", "IBLatency", "ProgressPollInterval", "CollInitBase"} {
+		m := DefaultModel()
+		f := reflect.ValueOf(&m).Elem().FieldByName(name)
+		f.SetInt(int64(sim.Second))
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s = 1 s rejected: %v", name, err)
+		}
+		f.SetInt(int64(sim.Second) + 1)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = 1 s + 1 ns: %v, want an error naming it", name, err)
+		}
+	}
+	var durations int
+	typ := reflect.TypeOf(Model{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type == reflect.TypeOf(sim.Duration(0)) {
+			durations++
+			m := DefaultModel()
+			reflect.ValueOf(&m).Elem().Field(i).SetInt(1 << 62)
+			if err := m.Validate(); err == nil {
+				t.Errorf("%s = 1<<62 ns accepted", typ.Field(i).Name)
+			}
+		}
+	}
+	if durations < 20 {
+		t.Fatalf("found %d duration fields, want every sim.Duration of Model", durations)
+	}
+	for _, name := range []string{"NVLinkBytesPerSec", "IBBytesPerSec", "C2CBytesPerSec", "ShmBytesPerSec", "CPUReduceBytesPerSec"} {
+		m := DefaultModel()
+		f := reflect.ValueOf(&m).Elem().FieldByName(name)
+		f.SetFloat(1e6)
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s = 1e6 rejected: %v", name, err)
+		}
+		for _, bad := range []float64{1e6 - 1, 1e-300, 0} {
+			f.SetFloat(bad)
+			if err := m.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: %v, want an error naming it", name, bad, err)
+			}
+		}
+	}
+	m := DefaultModel()
+	m.MemMapPerByte = 0.9 // 1 GiB in 0.97 s
+	if err := m.Validate(); err != nil {
+		t.Errorf("MemMapPerByte = 0.9 rejected: %v", err)
+	}
+	m.MemMapPerByte = 1 // 1 GiB in 1.07 s
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "MemMapPerByte") {
+		t.Errorf("MemMapPerByte = 1: %v, want an error naming it", err)
+	}
+
+	if err := DefaultModel().Validate(); err != nil {
+		t.Fatalf("default model rejected: %v", err)
+	}
+	stretched := DefaultModel()
+	stretched.IBLatency += stretched.IBLatency / 2
+	if err := stretched.Validate(); err != nil {
+		t.Fatalf("default model with IBLatency +50%% rejected: %v", err)
 	}
 }

@@ -1,8 +1,10 @@
 // Package serve is the sweep-serving layer: an HTTP daemon (cmd/sweepd)
 // through which clients POST batches of sweep requests — catalog point IDs,
 // optionally under a perturbed cost model — and receive the deterministic
-// virtual-time metrics back. It composes three pieces:
+// virtual-time metrics back. It composes four pieces:
 //
+//   - a memo in the Server of every default-catalog result resolved so
+//     far, which answers warm catalog points without a store read;
 //   - a Batcher that coalesces concurrent identical requests into one
 //     computation over a bounded compute pool and fans the result out;
 //   - a persistent content-addressed store (internal/runner/store) behind
@@ -30,13 +32,18 @@ import (
 
 // Sources classify how a request was satisfied.
 const (
+	// SourceMemory: a default-catalog point the Server had already
+	// resolved, answered from its memo without the batcher or the store.
+	SourceMemory = "memory"
 	// SourceComputed: this request ran the simulation.
 	SourceComputed = "computed"
 	// SourceStore: served from the persistent content-addressed store.
 	SourceStore = "store"
-	// SourceCoalesced: piggybacked on an identical in-flight request.
+	// SourceCoalesced: shared the result of an identical request, either
+	// in flight in the batcher or earlier in the same batch.
 	SourceCoalesced = "coalesced"
-	// SourceError: the computation panicked; Err carries the cause.
+	// SourceError: the computation panicked, or the override model is
+	// invalid; Err carries the cause.
 	SourceError = "error"
 	// SourceUnknown: the request named no catalog point.
 	SourceUnknown = "unknown"
@@ -69,9 +76,9 @@ type flight struct {
 // result out to every waiter. The first caller of a key becomes its leader:
 // it consults the store, computes on a miss (bounded by the compute pool),
 // and writes back; callers arriving while the flight is open share its
-// result without recomputing. Finished flights are dropped — the persistent
-// store, not the batcher, is the cache — so daemon memory stays bounded by
-// concurrency, not by history.
+// result without recomputing. Finished flights are dropped — the
+// Server's catalog memo and the persistent store are the caches — so the
+// flight table stays bounded by concurrency, not by history.
 type Batcher struct {
 	store runner.Store  // optional persistent layer; nil = compute-only
 	sem   chan struct{} // bounds concurrent simulations

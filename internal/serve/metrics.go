@@ -20,8 +20,8 @@ type RequestMetrics struct {
 	Point string `json:"point"`
 	// Key is the content-addressed memoization key the point resolved to.
 	Key string `json:"key"`
-	// Source is the cache disposition: computed, store, coalesced, error
-	// or unknown.
+	// Source is the cache disposition: memory, computed, store,
+	// coalesced, error or unknown.
 	Source string `json:"source"`
 	// QueueUS is the wait for a compute slot, in host microseconds
 	// (computed requests only).
@@ -49,6 +49,7 @@ func (m RequestMetrics) csvRow() []string {
 type Totals struct {
 	Batches   int64 `json:"batches"`
 	Requests  int64 `json:"requests"`
+	MemHits   int64 `json:"mem_hits"`
 	Computed  int64 `json:"computed"`
 	StoreHits int64 `json:"store_hits"`
 	Coalesced int64 `json:"coalesced"`
@@ -104,6 +105,8 @@ func (c *collector) record(m RequestMetrics) {
 	m.Seq = c.seq
 	c.totals.Requests++
 	switch m.Source {
+	case SourceMemory:
+		c.totals.MemHits++
 	case SourceComputed:
 		c.totals.Computed++
 	case SourceStore:

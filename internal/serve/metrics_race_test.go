@@ -16,9 +16,9 @@ func TestCollectorConcurrentInvariant(t *testing.T) {
 		writers    = 8
 		perWriter  = 200
 		ringSize   = 64
-		srcCycleSz = 5
+		srcCycleSz = 6
 	)
-	sources := []string{SourceComputed, SourceStore, SourceCoalesced, SourceError, SourceUnknown}
+	sources := []string{SourceMemory, SourceComputed, SourceStore, SourceCoalesced, SourceError, SourceUnknown}
 	c := newCollector(ringSize)
 
 	var wg sync.WaitGroup
@@ -53,7 +53,7 @@ func TestCollectorConcurrentInvariant(t *testing.T) {
 				default:
 				}
 				tot, recent := c.snapshot()
-				byKind := tot.Computed + tot.StoreHits + tot.Coalesced + tot.Errors + tot.Unknown
+				byKind := tot.MemHits + tot.Computed + tot.StoreHits + tot.Coalesced + tot.Errors + tot.Unknown
 				if byKind != tot.Requests {
 					t.Errorf("mid-flight snapshot unbalanced: per-source sum %d != requests %d", byKind, tot.Requests)
 					return
@@ -74,7 +74,7 @@ func TestCollectorConcurrentInvariant(t *testing.T) {
 	if tot.Requests != total {
 		t.Fatalf("requests = %d, want %d", tot.Requests, total)
 	}
-	if got := tot.Computed + tot.StoreHits + tot.Coalesced + tot.Errors + tot.Unknown; got != total {
+	if got := tot.MemHits + tot.Computed + tot.StoreHits + tot.Coalesced + tot.Errors + tot.Unknown; got != total {
 		t.Fatalf("per-source sum = %d, want %d (totals %+v)", got, total, tot)
 	}
 	if tot.Batches != writers {

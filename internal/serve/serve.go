@@ -46,8 +46,8 @@ type PointResult struct {
 	// Key is the content-addressed key the point resolved to (empty for
 	// unknown points).
 	Key string `json:"key,omitempty"`
-	// Source is the cache disposition: computed, store, coalesced, error
-	// or unknown.
+	// Source is the cache disposition: memory, computed, store,
+	// coalesced, error or unknown.
 	Source  string         `json:"source"`
 	Metrics runner.Metrics `json:"metrics,omitempty"`
 	Error   string         `json:"error,omitempty"`
@@ -74,12 +74,25 @@ type Config struct {
 	Recent int
 }
 
-// Server executes sweep batches through the batcher + store stack and
-// records per-request metrics. Wrap Handler in an http.Server to expose it.
+// Server executes sweep batches through the memo + batcher + store stack
+// and records per-request metrics. Wrap Handler in an http.Server to expose
+// it.
+//
+// Concurrency contract: Sweep runs on one goroutine per HTTP request; the
+// memo map is guarded by memoMu and read or written only under it. The
+// Metrics maps it holds are shared read-only, as the batcher's flights
+// share them.
 type Server struct {
 	batcher *Batcher
 	col     *collector
 	st      runner.Store
+
+	// memo holds every default-catalog result resolved so far, by key. A
+	// no-override batch answers these points inline. Only keys of the
+	// closed default catalog enter it, so it holds at most
+	// len(CatalogIDs()) entries and never needs eviction.
+	memoMu sync.Mutex
+	memo   map[string]runner.Metrics
 }
 
 // NewServer returns a Server over the given configuration.
@@ -88,6 +101,7 @@ func NewServer(cfg Config) *Server {
 		batcher: NewBatcher(cfg.Workers, cfg.Store),
 		col:     newCollector(cfg.Recent),
 		st:      cfg.Store,
+		memo:    make(map[string]runner.Metrics),
 	}
 }
 
@@ -154,10 +168,12 @@ func CatalogIDs() []string {
 }
 
 // Sweep executes one batch and returns per-point results in request order.
-// Points fan out concurrently; the batcher bounds simultaneous simulations
-// and coalesces identical keys, within this batch and across batches. An
-// invalid override model fails every point without simulating: such a
-// model could stall virtual time and pin a batcher worker forever.
+// A no-override batch answers every point already resolved from memory.
+// The rest resolve once per distinct key, concurrently, through the
+// batcher, which bounds simultaneous simulations and coalesces identical
+// keys across batches; a repeat of a key within the batch shares its
+// result. An invalid override model fails every point without simulating:
+// such a model could stall virtual time and pin a batcher worker forever.
 func (s *Server) Sweep(req Request) Response {
 	results := make([]PointResult, len(req.Points))
 	if err := req.checkModel(); err != nil {
@@ -177,38 +193,97 @@ func (s *Server) Sweep(req Request) Response {
 	return Response{Results: results}
 }
 
-// sweep fans req's points out through the batcher, filling results in
-// request order.
+// waiter is a batch position awaiting the resolution of the k-th
+// distinct key.
+type waiter struct{ pos, k int }
+
+// sweep fills results in request order: memo hits inline, then one
+// batcher resolution per distinct remaining key, copied to every position
+// that asked for it.
 func (s *Server) sweep(req Request, results []PointResult) {
 	cat := catalogFor(req.Model)
-	var wg sync.WaitGroup
+	memoize := req.Model == nil
+	var (
+		todo  []runner.Point     // distinct keys to resolve, first asked first
+		waits []waiter           // positions awaiting them, in request order
+		byKey = map[string]int{} // key -> index in todo
+	)
 	for i, id := range req.Points {
-		i, id := i, id
+		t0 := time.Now()
 		p, ok := cat[id]
 		if !ok {
 			results[i] = PointResult{Point: id, Source: SourceUnknown, Error: "unknown point"}
 			continue
 		}
+		if memoize {
+			if m, ok := s.recall(p.Key); ok {
+				results[i] = PointResult{Point: id, Key: p.Key, Source: SourceMemory, Metrics: m, TotalUS: us(time.Since(t0))}
+				continue
+			}
+		}
+		k, ok := byKey[p.Key]
+		if !ok {
+			k = len(todo)
+			byKey[p.Key] = k
+			todo = append(todo, p)
+		}
+		waits = append(waits, waiter{i, k})
+	}
+
+	res := make([]Result, len(todo))
+	var wg sync.WaitGroup
+	for k, p := range todo {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := s.batcher.Do(p.Key, p.Run)
-			pr := PointResult{
-				Point:     p.ID,
-				Key:       p.Key,
-				Source:    res.Source,
-				Metrics:   res.Metrics,
-				QueueUS:   us(res.Queue),
-				ComputeUS: us(res.Compute),
-				TotalUS:   us(res.Total),
-			}
-			if res.Err != nil {
-				pr.Error = res.Err.Error()
-			}
-			results[i] = pr
+			res[k] = s.batcher.Do(p.Key, p.Run)
 		}()
 	}
 	wg.Wait()
+
+	for k, r := range res {
+		if memoize && r.Err == nil {
+			s.remember(todo[k].Key, r.Metrics)
+		}
+	}
+	// The first position asking for a key reports its resolution; the
+	// repeats share it as coalesced, or as the same error.
+	led := make([]bool, len(todo))
+	for _, w := range waits {
+		r := res[w.k]
+		pr := PointResult{
+			Point:   req.Points[w.pos],
+			Key:     todo[w.k].Key,
+			Source:  r.Source,
+			Metrics: r.Metrics,
+			TotalUS: us(r.Total),
+		}
+		if !led[w.k] {
+			led[w.k] = true
+			pr.QueueUS, pr.ComputeUS = us(r.Queue), us(r.Compute)
+		} else if r.Err == nil {
+			pr.Source = SourceCoalesced
+		}
+		if r.Err != nil {
+			pr.Error = r.Err.Error()
+		}
+		results[w.pos] = pr
+	}
+}
+
+// recall returns the memoized default-catalog result for key, if any.
+func (s *Server) recall(key string) (runner.Metrics, bool) {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	m, ok := s.memo[key]
+	return m, ok
+}
+
+// remember memoizes a successfully resolved default-catalog result.
+func (s *Server) remember(key string, m runner.Metrics) {
+	s.memoMu.Lock()
+	s.memo[key] = m
+	s.memoMu.Unlock()
 }
 
 // Metrics returns the current metrics snapshot.

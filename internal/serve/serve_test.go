@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"mpipart/internal/cluster"
 	"mpipart/internal/runner"
 	"mpipart/internal/runner/store"
+	"mpipart/internal/sim"
 )
 
 // newTestDaemon boots a Server over a fresh disk store and wraps it in an
@@ -35,7 +35,7 @@ func newTestDaemon(t *testing.T) (*Server, *httptest.Server, *store.DiskStore) {
 // TestGateByteIdenticalAcrossAllThreeModes is the tentpole acceptance test:
 // the benchgate tier-1 batch must encode byte-identically whether computed
 // in-process, replayed from a warm on-disk store, or fetched from the
-// daemon over HTTP (cold and warm).
+// daemon over HTTP (cold, from the warm store, and from memory).
 func TestGateByteIdenticalAcrossAllThreeModes(t *testing.T) {
 	encode := func(g bench.Golden) []byte {
 		b, err := bench.EncodeGolden(g)
@@ -72,45 +72,55 @@ func TestGateByteIdenticalAcrossAllThreeModes(t *testing.T) {
 		t.Fatal("warm store replay differs from in-process run")
 	}
 
-	// Mode 3: over HTTP, cold then warm.
-	srv, ts, _ := newTestDaemon(t)
-	c := NewClient(ts.URL)
-	gHTTP, err := c.CollectGolden(nil)
+	// Mode 3: over HTTP, three passes. The cold pass computes and fills
+	// the store; the warm pass runs on a fresh Server over the same store,
+	// so it replays every point from disk; a third pass on that Server is
+	// answered from its memo without touching the store.
+	_, ts, ds := newTestDaemon(t)
+	gHTTP, err := NewClient(ts.URL).CollectGolden(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inProcess, encode(gHTTP)) {
 		t.Fatal("HTTP (cold) golden differs from in-process run")
 	}
+	srv := NewServer(Config{Store: ds, Workers: 4})
+	ts2 := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts2.Close)
+	c := NewClient(ts2.URL)
 	gHTTP2, err := c.CollectGolden(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inProcess, encode(gHTTP2)) {
-		t.Fatal("HTTP (warm) golden differs from in-process run")
+		t.Fatal("HTTP (warm store) golden differs from in-process run")
+	}
+	nPts := int64(len(bench.GatePoints(nil)))
+	tot := srv.Metrics().Totals
+	if tot.StoreHits != nPts || tot.Computed != 0 || tot.MemHits != 0 || tot.Errors != 0 || tot.Unknown != 0 {
+		t.Fatalf("warm store pass: %+v, want %d store hits and nothing else", tot, nPts)
 	}
 
-	// The warm HTTP pass must have been served entirely from cache: the
-	// daemon computed each distinct key at most once across both passes.
-	snap := srv.Metrics()
-	nPts := int64(len(bench.GatePoints(nil)))
-	if snap.Totals.Requests != 2*nPts {
-		t.Fatalf("daemon served %d requests, want %d", snap.Totals.Requests, 2*nPts)
+	st0 := ds.Stats()
+	gHTTP3, err := c.CollectGolden(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.Totals.Errors != 0 || snap.Totals.Unknown != 0 {
-		t.Fatalf("daemon reported failures: %+v", snap.Totals)
+	if !bytes.Equal(inProcess, encode(gHTTP3)) {
+		t.Fatal("HTTP (memory) golden differs from in-process run")
 	}
-	if snap.Totals.Computed > nPts {
-		t.Fatalf("daemon computed %d times for %d distinct points", snap.Totals.Computed, nPts)
+	tot = srv.Metrics().Totals
+	if got := tot.MemHits; got != nPts || tot.Requests != 2*nPts || tot.StoreHits != nPts || tot.Computed != 0 {
+		t.Fatalf("memory pass: %+v, want %d memory hits", tot, nPts)
 	}
-	if snap.Totals.StoreHits == 0 {
-		t.Fatalf("warm pass never hit the store: %+v", snap.Totals)
+	if st := ds.Stats(); st.Hits+st.Misses != st0.Hits+st0.Misses {
+		t.Fatalf("memory pass read the store: %+v before, %+v after", st0, st)
 	}
 }
 
 // TestConcurrentIdenticalPostsComputeOnce: N identical concurrent POSTs of
 // the same point must run its simulation exactly once — concurrent
-// requests coalesce, stragglers hit the store.
+// requests coalesce, stragglers hit the memo or the store.
 func TestConcurrentIdenticalPostsComputeOnce(t *testing.T) {
 	srv, ts, ds := newTestDaemon(t)
 	const n = 8
@@ -146,8 +156,8 @@ func TestConcurrentIdenticalPostsComputeOnce(t *testing.T) {
 	if snap.Totals.Computed != 1 {
 		t.Fatalf("daemon computed %d times for %d identical posts", snap.Totals.Computed, n)
 	}
-	if got := snap.Totals.StoreHits + snap.Totals.Coalesced; got != n-1 {
-		t.Fatalf("store hits + coalesced = %d, want %d (%+v)", got, n-1, snap.Totals)
+	if got := snap.Totals.MemHits + snap.Totals.StoreHits + snap.Totals.Coalesced; got != n-1 {
+		t.Fatalf("memory hits + store hits + coalesced = %d, want %d (%+v)", got, n-1, snap.Totals)
 	}
 	if st := ds.Stats(); st.Saves != 1 {
 		t.Fatalf("store saves = %d, want 1", st.Saves)
@@ -416,75 +426,197 @@ func TestCatalogKeysMatchGateKeys(t *testing.T) {
 	}
 }
 
-// TestOverflowModelsAnswerPromptly: two override models pass
-// cluster.Model.Validate yet drive virtual time past the int64 range. Each
-// must answer all gate points within 5 s, and each point must be either a
-// diagnosed virtual time overflow or a sane result. A 1<<62 ns poll period
-// used to wrap the clock negative on the second poll and spin sweepd
-// forever; a near-zero IB bandwidth used to turn into a negative wire
-// occupancy and make two-node points faster than the default model.
+// TestOverflowModelsAnswerPromptly: two override models that once drove
+// virtual time past the int64 range — a 1<<62 ns poll period that wrapped
+// the clock negative and spun sweepd forever, and a near-zero IB bandwidth
+// that turned into a negative wire occupancy — now fail
+// cluster.Model.Validate's range checks. Each must be refused before any
+// simulation runs: 400 over HTTP, a per-point error in process. The
+// overflow panic itself stays covered in internal/sim and internal/gpu.
 func TestOverflowModelsAnswerPromptly(t *testing.T) {
 	var ids []string
 	for _, p := range bench.GatePoints(nil) {
 		ids = append(ids, p.ID)
 	}
 	srv := NewServer(Config{Workers: 4})
-	def := srv.Sweep(Request{Points: ids}).Results
-
-	sweep := func(name string, m cluster.Model) []PointResult {
-		t.Helper()
-		if err := m.Validate(); err != nil {
-			t.Fatalf("%s model: %v", name, err)
-		}
-		done := make(chan Response, 1)
-		go func() { done <- srv.Sweep(Request{Points: ids, Model: &m}) }()
-		select {
-		case resp := <-done:
-			return resp.Results
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s model: no answer within 5s", name)
-			return nil
-		}
-	}
-	overflowed := func(r PointResult) bool {
-		return r.Source == SourceError && strings.Contains(r.Error, "virtual time overflow")
-	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 
 	slowIB := cluster.DefaultModel()
 	slowIB.IBBytesPerSec = 1e-300
-	var errs int
-	for i, r := range sweep("IB", slowIB) {
-		switch {
-		case overflowed(r):
-			errs++
-		case r.Error != "" || !r.Metrics.Equal(def[i].Metrics):
-			t.Errorf("IB model, %s: %+v, want an overflow or the default result %v", r.Point, r, def[i].Metrics)
-		}
-	}
-	t.Logf("IB model: %d of %d points overflowed", errs, len(ids))
-	if errs == 0 {
-		t.Error("IB model: no two-node point reported an overflow")
-	}
-
 	slowPoll := cluster.DefaultModel()
 	slowPoll.ProgressPollInterval = 1 << 62
-	errs = 0
-	for _, r := range sweep("poll", slowPoll) {
-		if overflowed(r) {
-			errs++
-			continue
+	for _, c := range []struct {
+		name, field string
+		m           cluster.Model
+	}{{"IB", "IBBytesPerSec", slowIB}, {"poll", "ProgressPollInterval", slowPoll}} {
+		body, err := json.Marshal(Request{Points: ids, Model: &c.m})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Error != "" {
-			t.Errorf("poll model, %s: %s", r.Point, r.Error)
+		resp, err := (&http.Client{Timeout: 5 * time.Second}).Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s model: %v", c.name, err)
 		}
-		for k, v := range r.Metrics {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("poll model, %s: %s = %v", r.Point, k, v)
+		var msg bytes.Buffer
+		_, err = msg.ReadFrom(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), c.field) {
+			t.Fatalf("%s model over HTTP: status %d %q, want 400 naming %s", c.name, resp.StatusCode, msg.String(), c.field)
+		}
+		for _, r := range srv.Sweep(Request{Points: ids, Model: &c.m}).Results {
+			if r.Source != SourceError || !strings.Contains(r.Error, c.field) || r.Metrics != nil {
+				t.Fatalf("%s model in process, %s: %+v", c.name, r.Point, r)
 			}
 		}
 	}
-	t.Logf("poll model: %d of %d points overflowed", errs, len(ids))
-	if errs == 0 {
-		t.Error("poll model: no polling point reported an overflow")
+	if tot := srv.Metrics().Totals; tot.Computed != 0 || tot.Errors != 2*int64(len(ids)) {
+		t.Fatalf("totals %+v, want %d errors and no simulation", tot, 2*len(ids))
 	}
+}
+
+// TestBatchResolvesEachKeyOnce: a cold batch of many copies of one point
+// starts one resolution, not one per copy. The first position computes,
+// every repeat shares its result as coalesced, and the store sees one
+// write.
+func TestBatchResolvesEachKeyOnce(t *testing.T) {
+	ds, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{Store: ds, Workers: 4})
+	const n = 1000
+	pts := make([]string, n)
+	for i := range pts {
+		pts[i] = "fig2/g=1"
+	}
+	res := srv.Sweep(Request{Points: pts}).Results
+	if len(res) != n {
+		t.Fatalf("%d results for %d points", len(res), n)
+	}
+	if r := res[0]; r.Source != SourceComputed || r.Error != "" || r.Metrics == nil {
+		t.Fatalf("first copy: %+v, want computed", r)
+	}
+	for i, r := range res[1:] {
+		if r.Source != SourceCoalesced || r.Point != pts[i+1] || r.Key != res[0].Key || !r.Metrics.Equal(res[0].Metrics) {
+			t.Fatalf("copy %d: %+v, want coalesced with the first copy's metrics", i+1, r)
+		}
+	}
+	if tot := srv.Metrics().Totals; tot.Computed != 1 || tot.Coalesced != n-1 {
+		t.Fatalf("totals %+v, want 1 computed and %d coalesced", tot, n-1)
+	}
+	if st := ds.Stats(); st.Saves != 1 {
+		t.Fatalf("store saves = %d, want 1", st.Saves)
+	}
+}
+
+// TestMemoBoundedByCatalog: the memo holds default-catalog results only.
+// Override batches, however many distinct models they carry, add nothing,
+// and two whole-catalog batches fill it with at most one entry per catalog
+// point; the second is answered from it entirely.
+func TestMemoBoundedByCatalog(t *testing.T) {
+	srv := NewServer(Config{Workers: 4})
+	memoLen := func() int {
+		srv.memoMu.Lock()
+		defer srv.memoMu.Unlock()
+		return len(srv.memo)
+	}
+	for i := 0; i < 20; i++ {
+		m := cluster.DefaultModel()
+		m.IBLatency += sim.Duration(i + 1)
+		for _, r := range srv.Sweep(Request{Points: []string{"fig2/g=1", "fig4/g=1/sendrecv"}, Model: &m}).Results {
+			if r.Source != SourceComputed {
+				t.Fatalf("override batch %d: %+v", i, r)
+			}
+		}
+	}
+	if n := memoLen(); n != 0 {
+		t.Fatalf("override batches left %d memo entries", n)
+	}
+	all := CatalogIDs()
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range srv.Sweep(Request{Points: all}).Results {
+			if r.Error != "" {
+				t.Fatalf("pass %d, %s: %s", pass, r.Point, r.Error)
+			}
+		}
+	}
+	if n := memoLen(); n == 0 || n > len(all) {
+		t.Fatalf("memo holds %d entries, want 1..%d", n, len(all))
+	}
+	tot := srv.Metrics().Totals
+	if tot.MemHits != int64(len(all)) {
+		t.Fatalf("second catalog batch: %d memory hits, want %d (%+v)", tot.MemHits, len(all), tot)
+	}
+}
+
+// FuzzSweepRequest drives POST /sweep with arbitrary bodies. It must never
+// panic and must answer 200, 400 or 405; a 200 carries one result per
+// requested point, in order, and an ID outside the catalog comes back as
+// unknown.
+func FuzzSweepRequest(f *testing.F) {
+	oversized := `{"points":[` + strings.Repeat(`"fig2/g=1",`, 800_000) + `"fig2/g=1"]}`
+	for _, seed := range []string{
+		``,
+		`{`,
+		`{not json`,
+		`null`,
+		`[]`,
+		`{"points":[]}`,
+		`{"points":"fig2/g=1"}`,
+		`{"points":[1,2]}`,
+		`{"points":["no/such/point"]}`,
+		`{"points":["fig2/g=1"]}`,
+		`{"points":["fig2/g=1","no/such/point","fig2/g=1"]}`,
+		`{"points":["fig2/g=1"],"model":{}}`,
+		`{"points":["fig2/g=1"],"model":{"IBLatency":5000}}`,
+		`{"points":["fig2/g=1"]} trailing`,
+		oversized,
+	} {
+		f.Add([]byte(seed), false)
+	}
+	f.Add([]byte(`{"points":["fig2/g=1"]}`), true)
+
+	srv := NewServer(Config{Workers: 1})
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte, get bool) {
+		method := http.MethodPost
+		if get {
+			method = http.MethodGet
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/sweep", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusMethodNotAllowed:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		// The handler decodes the first JSON value of the body; so does
+		// this, to learn what it was asked.
+		var req Request
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("decoding response: %v", err)
+		}
+		if len(resp.Results) != len(req.Points) {
+			t.Fatalf("%d results for %d points", len(resp.Results), len(req.Points))
+		}
+		cat := catalogFor(req.Model)
+		for i, r := range resp.Results {
+			if r.Point != req.Points[i] {
+				t.Fatalf("result %d is %q, want %q", i, r.Point, req.Points[i])
+			}
+			if _, known := cat[r.Point]; known == (r.Source == SourceUnknown) {
+				t.Fatalf("result %d (%q): source %s, catalog has it: %v", i, r.Point, r.Source, known)
+			}
+		}
+	})
 }
