@@ -28,14 +28,14 @@ import (
 // the once-per-simulation entry whose loop delegates to resume/dispatch,
 // and Go (like spawnTask) is a spawn path, which allocates by design. The
 // Task continuation core is in: runTask/stepTask are the dispatch
-// trampoline, Then/Sleep/SleepUntil/park/CallProc arm every suspension, and
+// trampoline, Then/Sleep/SleepUntil/park arm every suspension, and
 // readyTask/readyActor/reapTask are the run-queue edges.
 //
 // The converted leaf-actor packages designate their steady-state machine
 // steps. Deliberate exemptions, checked at the call edge rather than
-// silenced: Engine.stepItems and Engine.runItemOnBridge fan out through the
-// Progressor interface to legacy implementations that may format
-// diagnostics; Stream.finishKernel and Stream.stepFusedDone build trace
+// silenced: Engine.stepItems fans out through the Progressor interface to
+// item implementations that may format sanitizer diagnostics;
+// Stream.finishKernel and Stream.stepFusedDone build trace
 // spans (fmt under a tracer guard); SendRequest.stepScan and the
 // pready/completion issue steps call sanitizer guards (eager fmt.Sprintf on
 // violations) and the ucx put layer, whose delivery callbacks are closures
@@ -44,31 +44,25 @@ var hotPathFuncs = map[string]map[string]bool{
 	"internal/sim": {
 		"Kernel.At": true, "Kernel.After": true, "Kernel.nextSeq": true,
 		"Kernel.ready": true, "Kernel.resume": true, "Kernel.dispatch": true,
-		"Kernel.reap": true, "Kernel.handoff": true,
-		"Kernel.runTask": true, "Kernel.stepTask": true,
+		"Kernel.reap": true, "Kernel.runTask": true, "Kernel.stepTask": true,
 		"Kernel.readyTask": true, "Kernel.readyActor": true,
-		"Kernel.reapTask": true,
-		"Proc.Wait":       true, "Proc.WaitUntil": true, "Proc.Yield": true,
-		"Proc.block": true,
-		"Task.Then":  true, "Task.Sleep": true, "Task.SleepUntil": true,
-		"Task.park": true, "Task.CallProc": true,
+		"Kernel.reapTask": true, "Proc.block": true,
+		"Proc.Wait": true, "Proc.WaitUntil": true, "Proc.Yield": true,
+		"Task.Then": true, "Task.Sleep": true, "Task.SleepUntil": true,
+		"Task.park": true, "Cond.Await": true,
 		"Cond.Wait": true, "Cond.WaitFor": true, "Cond.Signal": true,
-		"Cond.Broadcast": true, "Cond.Waiters": true, "Cond.Await": true,
+		"Cond.Broadcast": true, "Cond.Waiters": true,
 		"Gate.Wait": true, "Gate.Open": true, "Gate.Await": true,
 		"Counter.Add": true, "Counter.Set": true, "Counter.WaitAtLeast": true,
-		"Counter.AwaitAtLeast": true,
-		"Queue.Push":           true, "Queue.Pop": true, "Queue.TryPop": true,
-		"Queue.PopAwait": true,
-		"Pipe.Transfer":  true, "Pipe.TransferThen": true, "Pipe.serialize": true,
-		"Pipe.TransferStaged":  true,
-		"stagedGroup.runLocal": true, "stagedGroup.runRemote": true,
+		"Counter.AwaitAtLeast": true, "Queue.PopAwait": true,
+		"Queue.Push": true, "Queue.Pop": true, "Queue.TryPop": true,
+		"Pipe.Transfer": true, "Pipe.TransferThen": true, "Pipe.serialize": true,
+		"Pipe.TransferStaged": true, "ring.push": true, "ring.pop": true,
 		"eventHeap.push": true, "eventHeap.pop": true,
-		"ring.push": true, "ring.pop": true,
 	},
 	"internal/mpi": {
-		"Engine.stepPass": true, "Engine.stepBridged": true,
-		"Engine.finishItem": true, "Engine.stepWorkerDone": true,
-		"Engine.stepIdleWake": true,
+		"Engine.stepPass": true, "Engine.finishItem": true,
+		"Engine.stepWorkerDone": true, "Engine.stepIdleWake": true,
 	},
 	"internal/gpu": {
 		"Stream.stepServe": true, "Stream.stepWave": true,

@@ -132,17 +132,17 @@ func (k *Kernel) dispatch() {
 			pkgs: []pkgSrc{
 				{path: "mpipart/internal/sim", files: map[string]string{"hp_fixture.go": `package sim
 type Proc struct{ next func() }
-type Task struct{ bridge *Proc }
+type Kernel struct{ spare *Proc }
 func (p *Proc) start(body func(p *Proc)) { p.next = func() { body(p) } }
-func (t *Task) loop(p *Proc) {}
-func newBridge(t *Task) *Proc {
+func (k *Kernel) idle(p *Proc) {}
+func newSpare(k *Kernel) *Proc {
 	p := &Proc{}
-	p.start(t.loop)
+	p.start(k.idle)
 	return p
 }
-func (t *Task) CallProc() {
-	if t.bridge == nil {
-		t.bridge = newBridge(t)
+func (k *Kernel) ready(p *Proc) {
+	if k.spare == nil {
+		k.spare = newSpare(k)
 	}
 }
 `}},
@@ -156,22 +156,22 @@ func (t *Task) CallProc() {
 			pkgs: []pkgSrc{
 				{path: "mpipart/internal/sim", files: map[string]string{"hp_fixture.go": `package sim
 type Proc struct{ next func() }
-type Task struct{ bridge *Proc }
+type Kernel struct{ spare *Proc }
 func (p *Proc) start(body func(p *Proc)) { p.next = func() { body(p) } }
-func newBridge(t *Task) *Proc {
+func newSpare(k *Kernel) *Proc {
 	p := &Proc{}
-	p.start(func(p *Proc) { _ = t })
+	p.start(func(p *Proc) { _ = k })
 	return p
 }
-func (t *Task) CallProc() {
-	if t.bridge == nil {
-		t.bridge = newBridge(t)
+func (k *Kernel) ready(p *Proc) {
+	if k.spare == nil {
+		k.spare = newSpare(k)
 	}
 }
 `}},
 			},
-			want:      []string{"call of sim.newBridge in scheduler hot path Task.CallProc allocates per call"},
-			wantChain: []string{"sim.newBridge", "closure literal"},
+			want:      []string{"call of sim.newSpare in scheduler hot path Kernel.ready allocates per call"},
+			wantChain: []string{"sim.newSpare", "closure literal"},
 		},
 		{
 			// The mutex is held across a helper that only parks the Proc two

@@ -5,70 +5,56 @@ import (
 	"testing"
 )
 
-// TestStagedPipeHotPathFixtures pins the hot-path designations of the
-// staged pipe-transfer path: TransferStaged and the fused group runners
-// must stay allocation-free, while the exempted construction path
-// (newGroup's freelist) may allocate.
+// TestStagedPipeHotPathFixtures pins the hot-path designation of the
+// staged pipe-transfer path: TransferStaged books the caller's callbacks as
+// plain events and must stay allocation-free, so formatting or wrapping a
+// callback in a closure per transfer fires.
 func TestStagedPipeHotPathFixtures(t *testing.T) {
 	l := newTestLoader(t)
 	fixtures := []fixture{
 		{
-			// Allocation sources in the designated functions fire:
-			// formatting in TransferStaged, string concatenation in a
-			// staged-group callback runner.
 			name:     "hotpathalloc_staged_bad",
 			analyzer: "hotpathalloc",
 			pkgPath:  "mpipart/internal/sim",
 			src: `package sim
 import "fmt"
 type Time int64
-type Pipe struct{ last string }
-type stagedGroup struct{ tag string }
-func (pp *Pipe) TransferStaged(size int64) Time {
-	pp.last = fmt.Sprintf("staged %d", size)
-	return Time(size)
+type Kernel struct{}
+func (k *Kernel) At(t Time, fn func()) {}
+type Pipe struct {
+	k    *Kernel
+	last string
 }
-func (g *stagedGroup) runLocal() {
-	g.tag = "fired:" + g.tag
+func (pp *Pipe) TransferStaged(size int64, onLocal, onRemote func()) Time {
+	pp.last = fmt.Sprintf("staged %d", size)
+	pp.k.At(Time(size), func() { onLocal() })
+	pp.k.At(Time(size), onRemote)
+	return Time(size)
 }
 `,
 			want: []string{
 				"fmt.Sprintf call in scheduler hot path Pipe.TransferStaged",
-				"string concatenation in scheduler hot path stagedGroup.runLocal",
+				"closure literal in scheduler hot path Pipe.TransferStaged",
 			},
 		},
 		{
-			// The clean fused path is silent, and newGroup is outside the
-			// hot set (freelist-amortized construction may allocate).
+			// The caller's callbacks booked as they are: silent.
 			name:     "hotpathalloc_staged_ok",
 			analyzer: "hotpathalloc",
 			pkgPath:  "mpipart/internal/sim",
 			src: `package sim
 type Time int64
-type stagedGroup struct {
-	local []func()
-	next  *stagedGroup
-}
-type Pipe struct {
-	pend *stagedGroup
-	free *stagedGroup
-}
-func (pp *Pipe) TransferStaged(size int64, onLocal func()) Time {
-	g := pp.pend
-	if g == nil {
-		g = pp.newGroup()
-		pp.pend = g
+type Kernel struct{}
+func (k *Kernel) At(t Time, fn func()) {}
+type Pipe struct{ k *Kernel }
+func (pp *Pipe) TransferStaged(size int64, onLocal, onRemote func()) Time {
+	if onLocal != nil {
+		pp.k.At(Time(size), onLocal)
 	}
-	g.local = append(g.local, onLocal)
+	if onRemote != nil {
+		pp.k.At(Time(size), onRemote)
+	}
 	return Time(size)
-}
-func (pp *Pipe) newGroup() *stagedGroup {
-	g := pp.free
-	if g == nil {
-		g = &stagedGroup{local: []func(){}}
-	}
-	pp.free = g.next
-	return g
 }
 `,
 		},

@@ -20,14 +20,14 @@ import (
 //   - blocking-in-step: a Task-context function (any non-sim function with a
 //     *sim.Task parameter — step functions and their helpers) calls a
 //     function that transitively reaches a proc parking primitive
-//     (Proc.Wait, Cond.Wait, Queue.Pop, …). Blocking work must go through
-//     t.CallProc, which bridges to a real proc. Reported with the call chain
-//     to the parking site.
+//     (Proc.Wait, Cond.Wait, Queue.Pop, …). Blocking work must be written
+//     as Await/Then continuations. Reported with the call chain to the
+//     parking site.
 //   - proc-only API in Task context: a direct call of a sim parking
 //     primitive from a Task-context function.
 //   - double suspension: a path-sensitive typestate automaton over the Task
 //     parameter — states {running, parked} — reusing the partitionedflow
-//     CFG-typestate pattern. Sleep/SleepUntil/CallProc and Cond.Await park
+//     CFG-typestate pattern. Sleep/SleepUntil and Cond.Await park
 //     unconditionally; Gate.Await, Counter.AwaitAtLeast, and Queue.PopAwait
 //     may park (the automaton forks). A park op where the task is parked on
 //     EVERY incoming path is reported (must-violation semantics: a
@@ -35,7 +35,7 @@ import (
 //     branch stays silent). Helpers taking the task are spliced by their own
 //     bottom-up park summary {none, may, must, opaque}; opaque uses drop
 //     tracking rather than report.
-//   - spawner arming: Then/Sleep/SleepUntil/CallProc called on the result of
+//   - spawner arming: Then/Sleep/SleepUntil called on the result of
 //     SpawnTask/SpawnTaskDaemon from the spawning function. The spawner is
 //     not the running step; continuations must be armed from the task's own
 //     step functions (engine-style bound fields, assigned to struct state,
@@ -282,7 +282,7 @@ func runTaskState(pass *Pass) {
 		}
 		if cx.isTaskCtx(node) {
 			cx.checkBlocking(pass, node)
-			cx.runTypestate(pass, node)
+			cx.runTypestateOn(pass, node)
 		}
 		cx.checkSpawnerArming(pass, node)
 	}
@@ -300,7 +300,7 @@ func (cx *tsCtx) checkBlocking(pass *Pass, node *FuncNode) {
 		for _, ext := range site.External {
 			if isSimPkg(ext.PkgPath) && simBlockingPrimitives[calleeKey(ext.RecvName, ext.Name)] {
 				pass.Reportf(site.Pos,
-					"proc-only blocking API sim.%s called from Task context: steps run on the scheduler; use Await/Then continuations or t.CallProc",
+					"proc-only blocking API sim.%s called from Task context: steps run on the scheduler; use Await/Then continuations",
 					calleeKey(ext.RecvName, ext.Name))
 			}
 		}
@@ -308,7 +308,7 @@ func (cx *tsCtx) checkBlocking(pass *Pass, node *FuncNode) {
 			if isSimPkg(c.PkgPath) {
 				if simBlockingPrimitives[calleeKey(c.RecvName, c.Name)] {
 					pass.Reportf(site.Pos,
-						"proc-only blocking API sim.%s called from Task context: steps run on the scheduler; use Await/Then continuations or t.CallProc",
+						"proc-only blocking API sim.%s called from Task context: steps run on the scheduler; use Await/Then continuations",
 						calleeKey(c.RecvName, c.Name))
 				}
 				continue
@@ -319,7 +319,7 @@ func (cx *tsCtx) checkBlocking(pass *Pass, node *FuncNode) {
 			if cx.blockBit[c.index] {
 				w := tsWitness{pos: site.Pos, callee: c}
 				pass.ReportfChain(site.Pos, cx.blockChain(node, w),
-					"call of %s from Task context transitively parks the proc: blocking work must run via t.CallProc on the bridge",
+					"call of %s from Task context transitively parks the proc: blocking work must use Await/Then continuations",
 					c.ShortName())
 			}
 		}
@@ -354,11 +354,6 @@ func (cx *tsCtx) selfRecursive(node *FuncNode) bool {
 		}
 	}
 	return false
-}
-
-// runTypestate replays the automaton with reporting enabled.
-func (cx *tsCtx) runTypestate(pass *Pass, node *FuncNode) {
-	cx.runTypestateOn(pass, node)
 }
 
 // runTypestateOn solves the suspension typestate over node's CFG and returns
@@ -503,9 +498,7 @@ func (cx *tsCtx) opsInNode(node *FuncNode, param *types.Var, n ast.Node) []tsOp 
 						case sel.Sel.Name == "Then":
 							// Inline arming: legal in any state, including
 							// immediately after a park.
-						case sel.Sel.Name == "Sleep" || sel.Sel.Name == "SleepUntil" ||
-							sel.Sel.Name == "CallProc":
-							// CallProc arms the bridge continuation and parks.
+						case sel.Sel.Name == "Sleep" || sel.Sel.Name == "SleepUntil":
 							out = append(out, tsOp{pos: t.Pos(), kind: tsParkMust,
 								desc: param.Name() + "." + sel.Sel.Name})
 						case taskHarmlessMethods[sel.Sel.Name]:
@@ -651,7 +644,7 @@ func (cx *tsCtx) checkSpawnerArming(pass *Pass, node *FuncNode) {
 			if sel, ok := t.Fun.(*ast.SelectorExpr); ok {
 				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && tracked[id.Name] {
 					switch sel.Sel.Name {
-					case "Then", "Sleep", "SleepUntil", "CallProc":
+					case "Then", "Sleep", "SleepUntil":
 						pass.Reportf(t.Pos(),
 							"%s.%s called from the spawning function: the spawner is not the running step; arm continuations from the task's own step functions",
 							id.Name, sel.Sel.Name)

@@ -14,11 +14,10 @@ func (p *Proc) Wait(d int64)      {}
 func (p *Proc) WaitUntil(at int64) {}
 type Task struct{}
 type TaskFn func(t *Task)
-func (t *Task) Then(fn TaskFn)             {}
-func (t *Task) Sleep(d int64)              {}
-func (t *Task) SleepUntil(at int64)        {}
-func (t *Task) CallProc(fn func(p *Proc))  {}
-func (t *Task) Now() int64                 { return 0 }
+func (t *Task) Then(fn TaskFn)      {}
+func (t *Task) Sleep(d int64)       {}
+func (t *Task) SleepUntil(at int64) {}
+func (t *Task) Now() int64          { return 0 }
 type Cond struct{}
 func (c *Cond) Wait(p *Proc)  {}
 func (c *Cond) Await(t *Task) {}

@@ -63,10 +63,21 @@ type Request struct {
 	active   bool
 	freed    bool
 	// inProgress guards against virtual-time re-entrancy: both the
-	// progression engine and a host proc blocked in Wait drive Progress,
-	// and reduceData yields (stream synchronize) mid-pass; the second
-	// driver must not double-apply reductions or sends.
+	// progression engine (ProgressTask) and a host proc blocked in Wait
+	// (Progress) drive the schedule walk, and it yields mid-pass (stream
+	// synchronize, put issue costs); the second driver must not
+	// double-apply reductions or sends.
 	inProgress bool
+	// The schedule walk's cursor (see next): the user partition being
+	// advanced, the next incoming edge of its current step to check (-1 at
+	// step entry, before the local-data gate), and whether the pass
+	// advanced anything. The Task driver also keeps the engine's
+	// continuation and its bound steps.
+	wUp, wIn  int
+	wDid      bool
+	tDone     func(didWork, stillActive bool)
+	fnReduced sim.TaskFn
+	fnSent    sim.TaskFn
 	// selfCopy copies the rank's own chunk from the send to the receive
 	// buffer when a user partition completes (all-to-all keeps the local
 	// chunk out of the network).
@@ -247,6 +258,8 @@ func InitWithScheduleBuffers(p *sim.Proc, r *mpi.Rank, sendBuf, recvBuf []float6
 	}
 
 	c.stream = r.Dev.NewStream("coll-reduce")
+	c.fnReduced = c.stepReduced
+	c.fnSent = c.stepSent
 	c.resetStates()
 	return c
 }
@@ -380,99 +393,209 @@ func (c *Request) userReadyNow(up int) bool {
 	return c.userReady[up] || c.userPending.Get(up) != 0
 }
 
-// Progress implements mpi.Progressor (Algorithm 2): each user partition
-// independently advances through the schedule — collecting arrivals,
-// reducing staged data, firing the step's sends, and moving to the next
-// step when both counters match the step's neighbour counts.
-func (c *Request) Progress(p *sim.Proc) (didWork, stillActive bool) {
+// walkAct is the next blocking action of the schedule walk.
+type walkAct uint8
+
+const (
+	walkDone   walkAct = iota // the pass is complete
+	walkReduce                // reduce the arrival on S.In[c.wIn] of user partition c.wUp
+	walkSend                  // Pready S.Out[st.pready] of user partition c.wUp
+)
+
+// begin opens a schedule walk, or reports false when the collective is not
+// started or another driver's walk is in flight.
+func (c *Request) begin() bool {
 	if !c.started || c.inProgress {
-		return false, c.active
+		return false
 	}
 	c.inProgress = true
-	defer func() { c.inProgress = false }()
-	did := false
-	for up := range c.states {
+	c.wUp, c.wIn, c.wDid = 0, -1, false
+	return true
+}
+
+// next is Algorithm 2, written once as a resumable cursor over c.states:
+// each user partition independently advances through the schedule —
+// collecting arrivals, reducing staged data, firing the step's sends, and
+// moving to the next step when both counters match the step's neighbour
+// counts. It does every non-blocking part itself and stops at the next
+// blocking action, which the driver performs and then acknowledges with
+// reduced or sent before calling next again.
+func (c *Request) next() walkAct {
+	for ; c.wUp < len(c.states); c.wUp, c.wIn = c.wUp+1, -1 {
+		up := c.wUp
 		st := &c.states[up]
 		for st.step < len(c.Sched.Steps) {
 			S := &c.Sched.Steps[st.step]
-			// Local-data gate: reductions and sends of this rank's own
-			// contribution wait for the user's Pready. Forwarding sends
-			// (a broadcast's interior ranks, the allgather's later steps)
-			// carry data whose readiness the schedule already ordered and
-			// pass through.
-			if !c.userReadyNow(up) && (S.Reduce || (S.LocalData && len(S.Out) > 0)) {
-				break
+			if c.wIn < 0 {
+				// Local-data gate: reductions and sends of this rank's own
+				// contribution wait for the user's Pready. Forwarding sends
+				// (a broadcast's interior ranks, the allgather's later
+				// steps) carry data whose readiness the schedule already
+				// ordered and pass through.
+				if !c.userReadyNow(up) && (S.Reduce || (S.LocalData && len(S.Out) > 0)) {
+					break
+				}
+				c.wIn = 0
+				if st.parrived == len(S.In) {
+					c.wIn = len(S.In)
+				}
 			}
 			// Arrivals (lines 5–13): check each incoming neighbour,
 			// reduce its staged chunk exactly once.
-			if st.parrived != len(S.In) {
-				for j, eu := range S.In {
-					if st.inDone[j] {
-						continue
-					}
-					uses := c.Sched.RecvUses[eu.Nbr]
-					tp := up*uses + eu.Use
-					if c.recvs[eu.Nbr].Parrived(tp) {
-						if S.Reduce {
-							c.reduceData(p, up, eu)
-						}
-						st.inDone[j] = true
-						st.parrived++
-						did = true
-					}
+			for ; c.wIn < len(S.In); c.wIn++ {
+				eu := S.In[c.wIn]
+				if st.inDone[c.wIn] || !c.recvs[eu.Nbr].Parrived(up*c.Sched.RecvUses[eu.Nbr]+eu.Use) {
+					continue
 				}
+				if S.Reduce {
+					return walkReduce
+				}
+				c.reduced()
 			}
 			// Sends (lines 21–28 generalized): fire each outgoing
 			// neighbour's Pready once on entering the step.
 			if st.pready < len(S.Out) {
-				for _, eu := range S.Out {
-					uses := c.Sched.SendUses[eu.Nbr]
-					c.sends[eu.Nbr].Pready(p, up*uses+eu.Use)
-					st.pready++
-					did = true
-				}
+				return walkSend
 			}
 			// Step transition (lines 14–20).
-			if st.parrived == len(S.In) && st.pready == len(S.Out) {
-				st.step++
-				st.parrived, st.pready = 0, 0
-				c.armStep(st)
-				did = true
-				if st.step == len(c.Sched.Steps) {
-					if c.selfCopy && !c.R.W.K.TimingOnly() {
-						copy(c.chunkViewIn(up, c.Sched.Rank), c.chunkView(up, c.Sched.Rank))
-					}
-					c.doneUPs++
-				}
-				continue
+			if st.parrived != len(S.In) {
+				break
 			}
-			break
+			st.step++
+			st.parrived, st.pready = 0, 0
+			c.armStep(st)
+			c.wIn, c.wDid = -1, true
+			if st.step == len(c.Sched.Steps) {
+				if c.selfCopy && !c.R.W.K.TimingOnly() {
+					copy(c.chunkViewIn(up, c.Sched.Rank), c.chunkView(up, c.Sched.Rank))
+				}
+				c.doneUPs++
+			}
 		}
 	}
-	if did {
-		// Wake anyone parked on the worker condition (a host proc inside
-		// Wait, the progression engine): schedule state advanced, so their
-		// completion predicates may now hold. Without this, a proc that
-		// parked while another proc was blocked inside reduceData would
-		// never re-check.
-		c.R.Worker.Cond().Broadcast()
-	}
-	return did, c.active
+	return walkDone
 }
 
-// reduceData applies the collective's operation to an arrived chunk: the
-// staged data is combined into the user chunk by a kernel on the internal
-// stream, and the stream is synchronized before the schedule moves on —
-// the numerically required but expensive step the paper identifies as the
-// gap to NCCL.
-func (c *Request) reduceData(p *sim.Proc, up int, eu EdgeUse) {
+// reduced records the arrival at the cursor as consumed (its reduction, if
+// any, done); next then skips it.
+func (c *Request) reduced() {
+	st := &c.states[c.wUp]
+	st.inDone[c.wIn] = true
+	st.parrived++
+	c.wDid = true
+}
+
+// sent records the cursor's send as issued.
+func (c *Request) sent() {
+	c.states[c.wUp].pready++
+	c.wDid = true
+}
+
+// sendAt returns the channel and transport partition of the cursor's send.
+func (c *Request) sendAt() (*core.SendRequest, int) {
+	st := &c.states[c.wUp]
+	eu := c.Sched.Steps[st.step].Out[st.pready]
+	return c.sends[eu.Nbr], c.wUp*c.Sched.SendUses[eu.Nbr] + eu.Use
+}
+
+// end closes the walk. If it advanced anything it wakes everyone parked on
+// the worker condition (a host proc inside Wait, the progression engine):
+// schedule state advanced, so their completion predicates may now hold.
+// Without this, a proc that parked while the other driver was blocked
+// mid-walk would never re-check.
+func (c *Request) end() (didWork, stillActive bool) {
+	c.inProgress = false
+	if c.wDid {
+		c.R.Worker.Cond().Broadcast()
+	}
+	return c.wDid, c.active
+}
+
+// Progress drives the schedule walk from a host proc (Wait), blocking on
+// each reduction's stream synchronize and each send's issue costs.
+func (c *Request) Progress(p *sim.Proc) (didWork, stillActive bool) {
+	if !c.begin() {
+		return false, c.active
+	}
+	for {
+		switch c.next() {
+		case walkReduce:
+			if c.launchReduce() {
+				c.stream.Synchronize(p)
+			}
+			c.reduced()
+		case walkSend:
+			s, tp := c.sendAt()
+			s.Pready(p, tp)
+			c.sent()
+		default:
+			return c.end()
+		}
+	}
+}
+
+// ProgressTask implements mpi.Progressor: it drives the same schedule walk
+// on the progression engine's Task, taking each blocking action in
+// continuation form.
+func (c *Request) ProgressTask(t *sim.Task, done func(didWork, stillActive bool)) {
+	if !c.begin() {
+		done(false, c.active)
+		return
+	}
+	c.tDone = done
+	c.stepWalk(t)
+}
+
+// stepWalk runs the walk to its next blocking action and arms it, or
+// finishes the pass.
+func (c *Request) stepWalk(t *sim.Task) {
+	for {
+		switch c.next() {
+		case walkReduce:
+			if c.launchReduce() {
+				c.stream.SynchronizeTask(t, c.fnReduced)
+				return
+			}
+			c.reduced()
+		case walkSend:
+			s, tp := c.sendAt()
+			s.PreadyTask(t, tp, c.fnSent)
+			return
+		default:
+			c.tDone(c.end())
+			return
+		}
+	}
+}
+
+// stepReduced resumes the walk after a reduction's synchronize.
+func (c *Request) stepReduced(t *sim.Task) {
+	c.reduced()
+	c.stepWalk(t)
+}
+
+// stepSent resumes the walk after a send's puts were issued.
+func (c *Request) stepSent(t *sim.Task) {
+	c.sent()
+	c.stepWalk(t)
+}
+
+// launchReduce applies the collective's operation to the arrival at the
+// cursor: the staged data is combined into the user chunk by a kernel on
+// the internal stream. The driver then synchronizes the stream before the
+// schedule moves on — the numerically required but expensive step the
+// paper identifies as the gap to NCCL. It reports false for an empty chunk,
+// which launches nothing.
+func (c *Request) launchReduce() bool {
+	up := c.wUp
+	eu := c.Sched.Steps[c.states[up].step].In[c.wIn]
 	uses := c.Sched.RecvUses[eu.Nbr]
 	src := c.staging[eu.Nbr][up*uses+eu.Use]
 	dst := c.chunkView(up, eu.Chunk)
 	op := c.Op
 	n := len(dst)
 	if n == 0 {
-		return
+		return false
 	}
 	block := 1024
 	if n < block {
@@ -502,7 +625,7 @@ func (c *Request) reduceData(p *sim.Proc, up int, eu EdgeUse) {
 		}
 	}
 	c.stream.Launch(spec)
-	c.stream.Synchronize(p)
+	return true
 }
 
 // Wait completes the collective epoch (MPI_Wait): Algorithm 2 runs until

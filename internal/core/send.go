@@ -41,22 +41,25 @@ type SendRequest struct {
 	freed bool
 
 	// Continuation-scan state (ProgressTask): the partition cursor, the
-	// progress accumulator, the engine's continuation, and per-put captures
-	// of the endpoint/rkey/epoch (taken before the issue-cost sleeps, as the
-	// blocking Pready captures them before its waits). The step funcs and
-	// the inflight-decrement completion callback are bound once at init so
-	// steady-state progression allocates nothing.
+	// progress accumulator and the engine's continuation. Per-put state
+	// (PreadyTask): the partition in flight, the caller's continuation, and
+	// captures of the endpoint/rkey/epoch (taken before the issue-cost
+	// sleeps, as the blocking Pready captures them before its waits). The
+	// step funcs and the inflight-decrement completion callback are bound
+	// once at init so steady-state progression allocates nothing.
 	tPart  int
 	tDid   bool
 	tDone  func(didWork, stillActive bool)
+	tPut   int
+	tThen  sim.TaskFn
 	tEp    *ucx.Endpoint
 	tRk    ucx.Rkey
 	tEpoch int
 
 	fnScan     sim.TaskFn
+	fnNext     sim.TaskFn
 	fnDataDone sim.TaskFn
 	fnFlagDone sim.TaskFn
-	fnComplete sim.TaskFn
 	fnCbDone   func(p *sim.Proc)
 }
 
@@ -93,9 +96,9 @@ func PsendInitParts(p *sim.Proc, r *mpi.Rank, dest, tag int, parts [][]float64) 
 		issued: make([]bool, len(parts)),
 	}
 	req.fnScan = req.stepScan
+	req.fnNext = req.nextPart
 	req.fnDataDone = req.stepDataIssued
 	req.fnFlagDone = req.stepFlagIssued
-	req.fnComplete = req.stepCompletionFlag
 	req.fnCbDone = func(*sim.Proc) { req.inflight-- }
 	r.Worker.AMSend(ucx.WorkerAddr(dest), amSetup, setupMsg{
 		Key:      key,
@@ -289,7 +292,7 @@ func (s *SendRequest) Progress(p *sim.Proc) (didWork, stillActive bool) {
 	return didWork, s.active
 }
 
-// ProgressTask implements mpi.TaskProgressor: the continuation form of
+// ProgressTask implements mpi.Progressor: the continuation form of
 // Progress, driven natively on the engine's Task. The partition cursor and
 // put sequencing replicate the blocking path operation-for-operation
 // (guards, markIssued before the issue-cost waits, data put then chained
@@ -319,7 +322,7 @@ func (s *SendRequest) stepScan(t *sim.Task) {
 			switch q.pending.Get(part) {
 			case readyData:
 				s.tDid = true
-				s.preadyTask(t, part)
+				s.PreadyTask(t, part, s.fnNext)
 				return
 			case readyCompleted:
 				s.tDid = true
@@ -339,40 +342,38 @@ func (s *SendRequest) nextPart(t *sim.Task) {
 	t.Then(s.fnScan)
 }
 
-// preadyTask is Pready in continuation form: same sanitizer guards, then
-// markIssued and the data-put/flag-put sequence with the issue costs taken
-// as Task sleeps instead of proc waits.
-func (s *SendRequest) preadyTask(t *sim.Task, part int) {
+// PreadyTask is Pready in continuation form: the same sanitizer guards,
+// then markIssued and the data-put/flag-put sequence with the issue costs
+// taken as Task sleeps instead of proc waits, then then runs (also when a
+// guard skips the put). One Task may issue on a request at a time.
+func (s *SendRequest) PreadyTask(t *sim.Task, part int, then sim.TaskFn) {
+	t.Then(then)
 	if s.checkUsable("Pready") {
-		s.nextPart(t)
 		return
 	}
 	if !s.started {
 		if s.violate("pready-before-start", "Pready before Start") {
-			s.nextPart(t)
 			return
 		}
 	}
 	if !s.prepared {
 		if s.violate("pready-before-pbufprepare", "Pready before PbufPrepare") {
-			s.nextPart(t)
 			return
 		}
 	}
 	if part < 0 || part >= len(s.parts) {
 		if s.violate("pready-range", fmt.Sprintf("Pready partition %d out of %d", part, len(s.parts))) {
-			s.nextPart(t)
 			return
 		}
 	}
 	if s.issued[part] {
 		if s.violate("double-pready", fmt.Sprintf("duplicate Pready of partition %d", part)) {
-			s.nextPart(t)
 			return
 		}
 	}
 	s.markIssued(part)
 	s.inflight++
+	s.tPut, s.tThen = part, then
 	s.tEp, s.tRk, s.tEpoch = s.ep, s.rkey, s.epoch
 	s.tEp.PutPartitionValidate(s.tRk, part, s.parts[part])
 	t.Then(s.fnDataDone)
@@ -382,21 +383,22 @@ func (s *SendRequest) preadyTask(t *sim.Task, part int) {
 // stepDataIssued commits the data put after its issue cost and charges the
 // chained flag put's issue cost.
 func (s *SendRequest) stepDataIssued(t *sim.Task) {
-	part := s.tPart
+	part := s.tPut
 	s.tEp.PutPartitionCommit(s.tRk, part, s.parts[part], nil)
 	s.tEp.PutFlagValidate(s.tRk)
 	t.Then(s.fnFlagDone)
 	t.Sleep(s.R.W.Model.PutIssueCost)
 }
 
-// stepFlagIssued commits the chained arrival-flag put and resumes the scan.
+// stepFlagIssued commits the arrival-flag put (chained behind a data put,
+// or alone on the Kernel Copy path) and runs the issuer's continuation.
 func (s *SendRequest) stepFlagIssued(t *sim.Task) {
-	s.tEp.PutFlagCommit(s.tRk, s.tPart, int64(s.tEpoch), s.fnCbDone)
-	s.nextPart(t)
+	s.tEp.PutFlagCommit(s.tRk, s.tPut, int64(s.tEpoch), s.fnCbDone)
+	t.Then(s.tThen)
 }
 
 // completionOnlyTask is completionOnly in continuation form (flag only, no
-// data movement — the Kernel Copy path).
+// data movement — the Kernel Copy path), resuming the scan afterwards.
 func (s *SendRequest) completionOnlyTask(t *sim.Task, part int) {
 	if s.issued[part] {
 		if s.violate("double-pready", fmt.Sprintf("duplicate completion of partition %d", part)) {
@@ -406,17 +408,11 @@ func (s *SendRequest) completionOnlyTask(t *sim.Task, part int) {
 	}
 	s.markIssued(part)
 	s.inflight++
+	s.tPut, s.tThen = part, s.fnNext
 	s.tEp, s.tRk, s.tEpoch = s.ep, s.rkey, s.epoch
 	s.tEp.PutFlagValidate(s.tRk)
-	t.Then(s.fnComplete)
+	t.Then(s.fnFlagDone)
 	t.Sleep(s.R.W.Model.PutIssueCost)
-}
-
-// stepCompletionFlag commits the completion-only flag put and resumes the
-// scan.
-func (s *SendRequest) stepCompletionFlag(t *sim.Task) {
-	s.tEp.PutFlagCommit(s.tRk, s.tPart, int64(s.tEpoch), s.fnCbDone)
-	s.nextPart(t)
 }
 
 // done reports whether the epoch's transfers are fully flushed.

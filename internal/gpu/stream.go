@@ -13,12 +13,11 @@ import (
 // Launch (cheap, asynchronous) and joins with Synchronize, which charges the
 // paper's 7.8 µs cudaStreamSynchronize cost.
 //
-// The serve loop used to be a goroutine daemon; it is now a state machine on
-// the event heap (sim.Task), so a world with thousands of streams holds no
-// stream goroutines and pays no channel handoffs per dispatch. Fused ops
-// (NCCL collectives) still run imperative blocking code; they execute on the
-// Task's bridge proc via CallProc, which preserves the exact virtual-time
-// schedule of the goroutine version.
+// The serve loop is a state machine on the event heap (sim.Task), so a world
+// with thousands of streams holds no stream goroutines and pays no
+// coroutine switches per dispatch. Fused ops (NCCL collectives) are Task
+// steps too: the stream runs them on its own Task after the launch latency.
+// Host code that is itself a Task joins with SynchronizeTask.
 type Stream struct {
 	dev   *Device
 	name  string
@@ -36,21 +35,34 @@ type Stream struct {
 	wave    sim.Duration // kernel: per-wave compute time
 	bpw     int          // kernel: blocks per wave
 	wstart  int          // kernel: first block of the next wave
-	fusedT0 sim.Time     // fused: span start, recorded on the bridge
+	fusedT0 sim.Time     // fused: span start, after the launch latency
+
+	// SynchronizeTask state: the caller's start time, the op count to
+	// drain and its continuation.
+	syncT0     sim.Time
+	syncTarget int
+	syncThen   sim.TaskFn
 
 	// Continuation steps, bound once at construction so the steady state
 	// never allocates method-value closures.
-	fnServe     sim.TaskFn
-	fnWave      sim.TaskFn
-	fnWaveBody  sim.TaskFn
-	fnFinish    sim.TaskFn
-	fnFusedDone sim.TaskFn
-	fnFusedBody func(p *sim.Proc)
+	fnServe      sim.TaskFn
+	fnWave       sim.TaskFn
+	fnWaveBody   sim.TaskFn
+	fnFinish     sim.TaskFn
+	fnFusedStart sim.TaskFn
+	fnFusedDone  sim.TaskFn
+	fnSyncIdle   sim.TaskFn
+	fnSyncDone   sim.TaskFn
 }
+
+// FusedBody is a fused stream op (e.g. an NCCL collective kernel) in Task
+// form: it runs as steps of the stream's own Task and must arrange for
+// done to run, via Then, once the op is complete.
+type FusedBody func(t *sim.Task, done sim.TaskFn)
 
 type streamOp struct {
 	spec *KernelSpec
-	fn   func(p *sim.Proc) // fused op (e.g. an NCCL collective kernel)
+	body FusedBody
 	name string
 	done *sim.Gate
 }
@@ -72,8 +84,10 @@ func (d *Device) NewStream(name string) *Stream {
 	s.fnWave = s.stepWave
 	s.fnWaveBody = s.stepWaveBody
 	s.fnFinish = s.finishKernel
+	s.fnFusedStart = s.stepFusedStart
 	s.fnFusedDone = s.stepFusedDone
-	s.fnFusedBody = s.runFusedOnBridge
+	s.fnSyncIdle = s.stepSyncIdle
+	s.fnSyncDone = s.stepSyncDone
 	s.task = d.K.SpawnTaskDaemon(sname, s.fnServe)
 	d.streams = append(d.streams, s)
 	return s
@@ -99,12 +113,12 @@ func (s *Stream) Launch(spec KernelSpec) *sim.Gate {
 	return op.done
 }
 
-// Enqueue places a fused operation on the stream: fn executes in stream
-// order on the stream's bridge proc after the kernel-launch latency.
-// NCCL-style collectives use this — a single persistent kernel that moves
-// data and synchronizes with peer devices without host involvement.
-func (s *Stream) Enqueue(name string, fn func(p *sim.Proc)) *sim.Gate {
-	op := &streamOp{fn: fn, name: name, done: sim.NewGate(s.dev.K, "fused:"+name)}
+// Enqueue places a fused operation on the stream: body runs in stream order
+// on the stream's Task after the kernel-launch latency. NCCL-style
+// collectives use this — a single persistent kernel that moves data and
+// synchronizes with peer devices without host involvement.
+func (s *Stream) Enqueue(name string, body FusedBody) *sim.Gate {
+	op := &streamOp{body: body, name: name, done: sim.NewGate(s.dev.K, "fused:"+name)}
 	s.enqueued++
 	s.q.Push(op)
 	return op.done
@@ -118,17 +132,14 @@ func (s *Stream) stepServe(t *sim.Task) {
 		return
 	}
 	s.cur = op
-	if op.fn != nil {
-		// Fused op: run the imperative body on the bridge proc, then finish
-		// with the continuation (same dispatch, on the bridge).
-		t.CallProc(s.fnFusedBody)
-		t.Then(s.fnFusedDone)
-		return
+	// Charge the launch latency, then run the fused body or the waves.
+	if op.body != nil {
+		t.Then(s.fnFusedStart)
+	} else {
+		s.winit = false
+		s.wstart = 0
+		t.Then(s.fnWave)
 	}
-	// Kernel: charge the launch latency, then run waves.
-	s.winit = false
-	s.wstart = 0
-	t.Then(s.fnWave)
 	t.Sleep(s.dev.M.KernelLaunchCost)
 }
 
@@ -203,16 +214,14 @@ func (s *Stream) finishKernel(t *sim.Task) {
 	t.Then(s.fnServe)
 }
 
-// runFusedOnBridge is the bridge-proc body for fused ops: launch latency,
-// then the op's imperative code, with the span start recorded in between —
-// byte-for-byte the timing of the old goroutine serve loop.
-func (s *Stream) runFusedOnBridge(p *sim.Proc) {
-	p.Wait(s.dev.M.KernelLaunchCost)
-	s.fusedT0 = p.Now()
-	s.cur.fn(p)
+// stepFusedStart records the fused op's span start after the launch
+// latency and runs its body's steps.
+func (s *Stream) stepFusedStart(t *sim.Task) {
+	s.fusedT0 = t.Now()
+	s.cur.body(t, s.fnFusedDone)
 }
 
-// stepFusedDone completes a fused op after its bridge body returned.
+// stepFusedDone completes a fused op after its body's steps finished.
 func (s *Stream) stepFusedDone(t *sim.Task) {
 	op := s.cur
 	s.cur = nil
@@ -230,6 +239,31 @@ func (s *Stream) Pending() int { return s.enqueued - s.completed.Value() }
 // poll completion as part of progression).
 func (s *Stream) WaitIdle(p *sim.Proc) {
 	s.completed.WaitAtLeast(p, s.enqueued)
+}
+
+// SynchronizeTask is Synchronize for a Task caller: it parks t until every
+// op enqueued so far has completed, charges the synchronization cost and
+// the trace span exactly as Synchronize does, then continues with then. One
+// Task may synchronize a stream at a time.
+func (s *Stream) SynchronizeTask(t *sim.Task, then sim.TaskFn) {
+	s.syncT0, s.syncTarget, s.syncThen = t.Now(), s.enqueued, then
+	t.Then(s.fnSyncIdle)
+}
+
+// stepSyncIdle waits for the stream to drain (re-run on every completion),
+// then charges the synchronization cost.
+func (s *Stream) stepSyncIdle(t *sim.Task) {
+	if !s.completed.AwaitAtLeast(t, s.syncTarget) {
+		return
+	}
+	t.Then(s.fnSyncDone)
+	t.Sleep(s.dev.M.StreamSyncCost)
+}
+
+// stepSyncDone emits the synchronize span and resumes the caller.
+func (s *Stream) stepSyncDone(t *sim.Task) {
+	s.dev.K.Tracer().Span(s.track, "streamSynchronize", s.syncT0, t.Now())
+	t.Then(s.syncThen)
 }
 
 // Synchronize models cudaStreamSynchronize: it parks p until the stream

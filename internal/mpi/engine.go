@@ -8,24 +8,13 @@ import (
 // partitioned request (watching device flags, issuing host-side Pready
 // puts) or a partitioned-collective schedule (Algorithm 2).
 //
-// Progress reports (didWork, stillActive): didWork is whether any state
-// advanced this call (used to decide whether the engine may park),
+// ProgressTask advances the item with the engine Task's continuation
+// primitives and must arrange for done(didWork, stillActive) to be called
+// exactly once, either synchronously before returning or from a
+// continuation step after the item's suspension chain finishes. didWork is
+// whether any state advanced (used to decide whether the engine may park),
 // stillActive is whether the item should remain registered.
 type Progressor interface {
-	Progress(p *sim.Proc) (didWork, stillActive bool)
-}
-
-// TaskProgressor is the continuation form of Progressor. Items implementing
-// it are advanced natively on the engine's Task — no goroutine handoffs —
-// while plain Progressors run unchanged on the engine's bridge proc.
-//
-// ProgressTask advances the item using t's continuation primitives and must
-// arrange for done(didWork, stillActive) to be called exactly once, either
-// synchronously before returning or from a continuation step after the
-// item's suspension chain finishes. The semantics of the two results match
-// Progress.
-type TaskProgressor interface {
-	Progressor
 	ProgressTask(t *sim.Task, done func(didWork, stillActive bool))
 }
 
@@ -39,10 +28,10 @@ type TaskProgressor interface {
 // it charges one polling interval, modelling the detection latency of the
 // real engine's poll loop.
 //
-// The engine used to be a goroutine daemon; it is now a state machine whose
-// pass structure mirrors the old loop exactly (scan items, progress the
-// worker, park if idle), so the virtual-time schedule is bit-identical while
-// each wake costs a function call instead of two channel handoffs.
+// The engine is a state machine with the pass structure of a poll loop
+// (scan items, progress the worker, park if idle); each wake costs a
+// function call, not a coroutine switch, and every item runs its
+// continuation chain on the engine's own Task.
 type Engine struct {
 	r       *Rank
 	items   []Progressor
@@ -50,30 +39,25 @@ type Engine struct {
 	task    *sim.Task
 
 	// Scan state for the pass in flight.
-	old          []Progressor // items being scanned this pass
-	oi           int          // index of the item in flight
-	did          bool         // any item (or the worker) made progress
-	bDid, bActiv bool         // bridged legacy Progressor result
+	old []Progressor // items being scanned this pass
+	oi  int          // index of the item in flight
+	did bool         // any item (or the worker) made progress
 
 	// Continuation steps, bound once so the steady state allocates nothing.
 	fnPass       sim.TaskFn
 	fnItems      sim.TaskFn
-	fnBridged    sim.TaskFn
 	fnWorkerDone sim.TaskFn
 	fnIdleWake   sim.TaskFn
 	fnItemDone   func(didWork, stillActive bool)
-	fnBridgeBody func(p *sim.Proc)
 }
 
 func newEngine(r *Rank) *Engine {
 	e := &Engine{r: r}
 	e.fnPass = e.stepPass
 	e.fnItems = e.stepItems
-	e.fnBridged = e.stepBridged
 	e.fnWorkerDone = e.stepWorkerDone
 	e.fnIdleWake = e.stepIdleWake
 	e.fnItemDone = e.finishItem
-	e.fnBridgeBody = e.runItemOnBridge
 	e.task = r.W.K.SpawnTaskDaemonID("progress", r.ID, e.fnPass)
 	return e
 }
@@ -104,8 +88,7 @@ func (e *Engine) stepPass(t *sim.Task) {
 }
 
 // stepItems advances the next registered item, or moves on to the worker
-// when the scan is complete. Task-native items run their continuation chain
-// in place; legacy goroutine-style items run on the bridge proc.
+// when the scan is complete. The item runs its continuation chain in place.
 func (e *Engine) stepItems(t *sim.Task) {
 	if e.oi >= len(e.old) {
 		// Scan done: recycle the retired buffer for the next pass and
@@ -120,30 +103,13 @@ func (e *Engine) stepItems(t *sim.Task) {
 		e.r.Worker.ProgressTask(t, e.fnWorkerDone)
 		return
 	}
-	if tp, ok := e.old[e.oi].(TaskProgressor); ok {
-		tp.ProgressTask(t, e.fnItemDone)
-		return
-	}
-	t.CallProc(e.fnBridgeBody)
-	t.Then(e.fnBridged)
-}
-
-// runItemOnBridge drives one legacy Progressor on the bridge proc, exactly
-// as the goroutine engine called it inline.
-func (e *Engine) runItemOnBridge(p *sim.Proc) {
-	e.bDid, e.bActiv = e.old[e.oi].Progress(p)
-}
-
-// stepBridged folds a bridged item's result back into the scan.
-func (e *Engine) stepBridged(t *sim.Task) {
-	e.finishItem(e.bDid, e.bActiv)
+	e.old[e.oi].ProgressTask(t, e.fnItemDone)
 }
 
 // finishItem records one item's progress result and continues the scan. It
 // runs after the item's progress completed — synchronously or at the end of
 // its suspension chain — so a Register made during progress lands in
-// e.items before the item's own re-append, preserving the goroutine loop's
-// retention order.
+// e.items before the item's own re-append.
 func (e *Engine) finishItem(didWork, stillActive bool) {
 	e.did = e.did || didWork
 	if stillActive {

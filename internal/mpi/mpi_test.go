@@ -460,7 +460,7 @@ func TestEngineRegisterAndDrain(t *testing.T) {
 		if r.ID != 0 {
 			return
 		}
-		r.Engine.Register(progressFunc(func(pp *sim.Proc) (bool, bool) {
+		r.Engine.Register(progressFunc(func() (bool, bool) {
 			ticks++
 			return true, ticks < 5
 		}))
@@ -477,9 +477,9 @@ func TestEngineRegisterAndDrain(t *testing.T) {
 	}
 }
 
-type progressFunc func(p *sim.Proc) (bool, bool)
+type progressFunc func() (bool, bool)
 
-func (f progressFunc) Progress(p *sim.Proc) (bool, bool) { return f(p) }
+func (f progressFunc) ProgressTask(t *sim.Task, done func(didWork, stillActive bool)) { done(f()) }
 
 func TestIsendIrecvTestDone(t *testing.T) {
 	w := newTwoNodeWorld()

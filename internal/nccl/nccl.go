@@ -82,13 +82,11 @@ func (c *Comm) AllReduce(r *mpi.Rank, stream *gpu.Stream, buf []float64) *sim.Ga
 	o := c.op(seq, len(buf))
 	o.bufs[r.ID] = buf
 	o.joined++
-	me := r.ID
-	return stream.Enqueue(fmt.Sprintf("ncclAllReduce#%d", seq), func(p *sim.Proc) {
-		c.runRing(p, o, me)
-		if o.joined == c.w.Size() && o.done(c.w.Size()) {
-			delete(c.ops, seq) // all ranks finished; release the op
-		}
-	})
+	rr := &ringRank{c: c, o: o, me: r.ID, seq: seq}
+	rr.fnSend = rr.stepSend
+	rr.fnRecv = rr.stepRecv
+	rr.fnFold = rr.stepFold
+	return stream.Enqueue(fmt.Sprintf("ncclAllReduce#%d", seq), rr.run)
 }
 
 func (o *ringOp) done(P int) bool {
@@ -100,57 +98,107 @@ func (o *ringOp) done(P int) bool {
 	return true
 }
 
-// runRing executes rank me's side of the fused ring reduce-scatter /
-// allgather. Chunk indices follow the same ring arithmetic as the
-// partitioned schedule (Algorithm 1), so the two implementations are
-// algorithm-identical and differ only in execution mechanism.
-func (c *Comm) runRing(p *sim.Proc, o *ringOp, me int) {
-	P := c.w.Size()
-	if P == 1 {
+// ringRank is rank me's side of one fused ring reduce-scatter / allgather,
+// run as steps of its stream's Task. Chunk indices follow the same ring
+// arithmetic as the partitioned schedule (Algorithm 1), so the two
+// implementations are algorithm-identical and differ only in execution
+// mechanism.
+type ringRank struct {
+	c       *Comm
+	o       *ringOp
+	me, seq int
+
+	// Set when the kernel starts: the chunk views, the link to the ring
+	// successor, the step cursor and the stream's continuation.
+	chunks  [][]float64
+	next    int
+	route   *sim.Pipe
+	payload bool
+	step    int
+	done    sim.TaskFn
+
+	fnSend, fnRecv, fnFold sim.TaskFn
+}
+
+// run is the fused kernel body: set up the ring and walk its 2(P-1) steps.
+func (rr *ringRank) run(t *sim.Task, done sim.TaskFn) {
+	c, P := rr.c, rr.c.w.Size()
+	rr.done = done
+	if P > 1 {
+		rr.chunks = equalViews(rr.o.bufs[rr.me], P)
+		rr.next = (rr.me + 1) % P
+		rr.route = c.w.F.Route(rr.me, rr.next)
+		rr.payload = !c.w.K.TimingOnly()
+	}
+	rr.stepSend(t)
+}
+
+// stepSend pushes this step's chunk to the successor's staging, then waits
+// for the predecessor's chunk; after the last step it finishes the kernel.
+func (rr *ringRank) stepSend(t *sim.Task) {
+	o, P := rr.o, rr.c.w.Size()
+	if rr.step >= 2*(P-1) {
+		if o.joined == P && o.done(P) {
+			delete(rr.c.ops, rr.seq) // all ranks finished; release the op
+		}
+		t.Then(rr.done)
 		return
 	}
-	buf := o.bufs[me]
-	chunks := equalViews(buf, P)
-	next := (me + 1) % P
-	steps := 2 * (P - 1)
-	route := c.w.F.Route(me, next)
-	payload := !c.w.K.TimingOnly()
+	// The transfer is initiated by device-side stores, no host involved.
+	// Staging hands the receiver a VIEW of the sender's chunk rather than a
+	// copy: ring rank me mutates chunk k only at the step before it sends k
+	// (reduce fold or allgather overwrite), never after, so between delivery
+	// and the receiver's read the bytes are stable and the view is
+	// indistinguishable from a snapshot. The per-step copy this replaces was
+	// a top allocation site.
+	src := rr.chunks[(rr.me+2*P-rr.step)%P]
+	next, stepIdx := rr.next, rr.step
+	arr := o.arrived[next]
+	rr.route.TransferThen(int64(8*len(src)), func() {
+		o.staging[next][stepIdx] = src
+		arr.Add(1)
+	})
+	t.Then(rr.fnRecv)
+}
 
-	for step := 0; step < steps; step++ {
-		sc := (me + 2*P - step) % P
-		rc := (me + 2*P - step - 1) % P
-		// Push our chunk to the neighbour's staging for this step; the
-		// transfer is initiated by device-side stores, no host involved.
-		// Staging hands the receiver a VIEW of the sender's chunk rather
-		// than a copy: ring rank me mutates chunk k only at the step before
-		// it sends k (reduce fold or allgather overwrite), never after, so
-		// between delivery and the receiver's read the bytes are stable and
-		// the view is indistinguishable from a snapshot. The per-step copy
-		// this replaces was a top allocation site.
-		src := chunks[sc]
-		arr := o.arrived[next]
-		stepIdx := step
-		route.TransferThen(int64(8*len(src)), func() {
-			o.staging[next][stepIdx] = src
-			arr.Add(1)
-		})
-		// Wait for the predecessor's chunk for this step.
-		o.arrived[me].WaitAtLeast(p, step+1)
-		in := o.staging[me][step]
-		dst := chunks[rc]
-		if step < P-1 {
-			// Fused reduction at HBM bandwidth — no launch, no sync.
-			p.Wait(sim.Duration(float64(8*len(in)) / FusedReduceBytesPerSec * 1e9))
-			if payload {
-				for i := range in {
-					dst[i] += in[i]
-				}
-			}
-		} else if payload {
-			copy(dst, in)
-		}
-		o.staging[me][step] = nil
+// stepRecv waits for the predecessor's chunk for this step (re-run on every
+// arrival), then folds it at HBM bandwidth — no launch, no sync — in the
+// reduce-scatter half or copies it in the allgather half.
+func (rr *ringRank) stepRecv(t *sim.Task) {
+	o, P := rr.o, rr.c.w.Size()
+	if !o.arrived[rr.me].AwaitAtLeast(t, rr.step+1) {
+		return
 	}
+	if rr.step < P-1 {
+		in := o.staging[rr.me][rr.step]
+		t.Then(rr.fnFold)
+		t.Sleep(sim.Duration(float64(8*len(in)) / FusedReduceBytesPerSec * 1e9))
+		return
+	}
+	if rr.payload {
+		copy(rr.chunks[(rr.me+2*P-rr.step-1)%P], o.staging[rr.me][rr.step])
+	}
+	rr.endStep(t)
+}
+
+// stepFold applies the fused reduction once its time has been charged.
+func (rr *ringRank) stepFold(t *sim.Task) {
+	P := rr.c.w.Size()
+	if rr.payload {
+		in := rr.o.staging[rr.me][rr.step]
+		dst := rr.chunks[(rr.me+2*P-rr.step-1)%P]
+		for i := range in {
+			dst[i] += in[i]
+		}
+	}
+	rr.endStep(t)
+}
+
+// endStep releases the step's staging view and moves to the next step.
+func (rr *ringRank) endStep(t *sim.Task) {
+	rr.o.staging[rr.me][rr.step] = nil
+	rr.step++
+	t.Then(rr.fnSend)
 }
 
 // equalViews splits buf into P nearly equal contiguous views (same

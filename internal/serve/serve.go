@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -297,6 +298,15 @@ func (s *Server) Metrics() Snapshot {
 	return snap
 }
 
+// Limits of one /sweep request. The body limit bounds what is read; the
+// point limit bounds what a batch costs per point (a result, a collector
+// record, response JSON). The largest real batch, the whole default catalog
+// (CatalogIDs), has about 210 points.
+const (
+	maxBodyBytes   = 8 << 20
+	maxBatchPoints = 4096
+)
+
 // Handler returns the daemon's HTTP surface:
 //
 //	POST /sweep            evaluate a batch (Request -> Response)
@@ -312,13 +322,21 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err := dec.Decode(&req); err != nil {
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			http.Error(w, "bad request: data after the JSON body", http.StatusBadRequest)
+			return
+		}
 		if len(req.Points) == 0 {
 			http.Error(w, "bad request: no points", http.StatusBadRequest)
+			return
+		}
+		if len(req.Points) > maxBatchPoints {
+			http.Error(w, fmt.Sprintf("bad request: %d points, at most %d per batch", len(req.Points), maxBatchPoints), http.StatusBadRequest)
 			return
 		}
 		if err := req.checkModel(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -180,6 +181,14 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 	if code := post(`{"points": []}`); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: %d", code)
 	}
+	for _, trailing := range []string{" trailing", " {}", `{"points":["fig2/g=1"]}`, "]"} {
+		if code := post(`{"points":["fig2/g=1"]}` + trailing); code != http.StatusBadRequest {
+			t.Fatalf("body followed by %q: %d, want 400", trailing, code)
+		}
+	}
+	if code := post("{\"points\":[\"fig2/g=1\"]} \n\t"); code != http.StatusOK {
+		t.Fatalf("body followed by whitespace: %d, want 200", code)
+	}
 	resp, err := http.Get(ts.URL + "/sweep")
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +196,52 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /sweep: %d", resp.StatusCode)
+	}
+}
+
+// TestSweepBatchPointLimit: the whole default catalog, the largest batch a
+// real caller sends, is answered; so is a batch at the point limit; one
+// point more is refused before any point is resolved.
+func TestSweepBatchPointLimit(t *testing.T) {
+	srv, ts, _ := newTestDaemon(t)
+	post := func(pts []string) (int, Response) {
+		body, err := json.Marshal(Request{Points: pts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var out Response
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	all := CatalogIDs()
+	if code, out := post(all); code != http.StatusOK || len(out.Results) != len(all) {
+		t.Fatalf("whole catalog (%d points): status %d, %d results", len(all), code, len(out.Results))
+	}
+	copies := func(n int) []string {
+		pts := make([]string, n)
+		for i := range pts {
+			pts[i] = "fig2/g=1"
+		}
+		return pts
+	}
+	if code, out := post(copies(maxBatchPoints)); code != http.StatusOK || len(out.Results) != maxBatchPoints {
+		t.Fatalf("%d points: status %d, %d results", maxBatchPoints, code, len(out.Results))
+	}
+	before := srv.Metrics().Totals
+	if code, _ := post(copies(maxBatchPoints + 1)); code != http.StatusBadRequest {
+		t.Fatalf("%d points: status %d, want 400", maxBatchPoints+1, code)
+	}
+	if after := srv.Metrics().Totals; after != before {
+		t.Fatalf("a refused batch moved the totals: %+v -> %+v", before, after)
 	}
 }
 
@@ -554,9 +609,10 @@ func TestMemoBoundedByCatalog(t *testing.T) {
 }
 
 // FuzzSweepRequest drives POST /sweep with arbitrary bodies. It must never
-// panic and must answer 200, 400 or 405; a 200 carries one result per
-// requested point, in order, and an ID outside the catalog comes back as
-// unknown.
+// panic and must answer 200, 400 or 405. A 200 means the body held exactly
+// one JSON value naming at most maxBatchPoints points; it carries one result
+// per requested point, in order, and an ID outside the catalog comes back
+// as unknown.
 func FuzzSweepRequest(f *testing.F) {
 	oversized := `{"points":[` + strings.Repeat(`"fig2/g=1",`, 800_000) + `"fig2/g=1"]}`
 	for _, seed := range []string{
@@ -596,11 +652,16 @@ func FuzzSweepRequest(f *testing.F) {
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
-		// The handler decodes the first JSON value of the body; so does
-		// this, to learn what it was asked.
 		var req Request
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		if err := dec.Decode(&req); err != nil {
 			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			t.Fatalf("200 for a body with data after its JSON value (%v)", err)
+		}
+		if len(req.Points) > maxBatchPoints {
+			t.Fatalf("200 for %d points, limit %d", len(req.Points), maxBatchPoints)
 		}
 		var resp Response
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {

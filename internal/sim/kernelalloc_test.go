@@ -314,9 +314,9 @@ func goroutinesBackTo(want int) bool {
 }
 
 // TestRunReleasesParkedGoroutines extends the Stop leak test to every other
-// way Run returns. Daemon procs parked at clean completion, a Task's idle
-// CallProc bridge, the blocked procs of a deadlock and the survivors of a
-// proc panic must all be drained, leaving no live procs and no goroutines.
+// way Run returns. Daemon procs and a daemon Task parked at clean
+// completion, the blocked procs of a deadlock and the survivors of a proc
+// panic must all be drained, leaving no live procs and no goroutines.
 func TestRunReleasesParkedGoroutines(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -328,10 +328,7 @@ func TestRunReleasesParkedGoroutines(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				k.GoDaemon("daemon", func(p *Proc) { c.Wait(p) })
 			}
-			k.SpawnTaskDaemon("bridged", func(t *Task) {
-				t.CallProc(func(p *Proc) { p.Wait(5) })
-				t.Then(func(t *Task) { c.Await(t) }) // leaves the bridge parked idle
-			})
+			k.SpawnTaskDaemon("idle-task", func(t *Task) { c.Await(t) })
 			k.Go("worker", func(p *Proc) { p.Wait(10) })
 		}, ""},
 		{"deadlock", func(k *Kernel) {

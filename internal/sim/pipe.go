@@ -23,21 +23,10 @@ type Pipe struct {
 	PerOpOverhead Duration
 
 	busyUntil Time
-	// pend is the staged-delivery group still open for fusion: transfers
-	// whose (serialized, delivered) times coincide with it append their
-	// callbacks instead of scheduling fresh events (see TransferStaged).
-	pend *stagedGroup
-	// free is a freelist of retired groups; steady-state staged traffic
-	// allocates nothing.
-	free *stagedGroup
-	// stepped forces the one-event-per-callback path (test hook for the
-	// elision equivalence property).
-	stepped bool
 	// stats
 	ops       int64
 	bytes     int64
 	busyTotal Duration
-	elided    int64
 }
 
 // NewPipe constructs a pipe attached to kernel k.
@@ -84,152 +73,18 @@ func (pp *Pipe) Stats() (ops, bytes int64, busy Duration) {
 	return pp.ops, pp.bytes, pp.busyTotal
 }
 
-// Elided reports how many scheduler events this pipe absorbed by fusing
-// staged callbacks into already-armed delivery groups.
-func (pp *Pipe) Elided() int64 { return pp.elided }
-
-// SetStepped forces every staged transfer onto the per-callback stepped
-// path, disabling fusion. Test hook: the elision equivalence property runs
-// the same scenario stepped and fused and requires identical observables.
-func (pp *Pipe) SetStepped(v bool) {
-	pp.stepped = v
-	pp.pend = nil
-}
-
-// stagedGroup batches the callbacks of staged transfers that share one
-// (serialized, delivered) pair, so the pipe schedules at most one event per
-// firing time regardless of how many coincident transfers pile onto it.
-// Within a group callbacks run in append order — the order the transfers
-// were booked — so the pipe's FIFO is preserved; relative order against
-// unrelated same-time callbacks is the arbitrary ordering class, which the
-// schedule-perturbation gate proves observables do not depend on.
-type stagedGroup struct {
-	pp       *Pipe
-	ser, del Time
-	local    []func()
-	remote   []func()
-	// localFired/remoteFired close the group to further fusion: a transfer
-	// arriving after a side ran must schedule fresh events.
-	localFired  bool
-	remoteFired bool
-	// armed counts events scheduled for this group; fired counts those that
-	// ran. The group returns to the freelist when they meet.
-	armed int
-	fired int
-	next  *stagedGroup
-	// Bound once at construction so arming a side costs no closure
-	// allocation per transfer.
-	runLocalFn  func()
-	runRemoteFn func()
-}
-
-// newGroup takes a group from the freelist (or allocates the pipe's first
-// few) and opens it at (ser, del).
-func (pp *Pipe) newGroup(ser, del Time) *stagedGroup {
-	g := pp.free
-	if g == nil {
-		g = &stagedGroup{pp: pp}
-		g.runLocalFn = g.runLocal
-		g.runRemoteFn = g.runRemote
-	} else {
-		pp.free = g.next
-		g.next = nil
-	}
-	g.ser, g.del = ser, del
-	g.localFired, g.remoteFired = false, false
-	g.armed, g.fired = 0, 0
-	return g
-}
-
-// runLocal fires the serialization-complete side of the group.
-func (g *stagedGroup) runLocal() {
-	g.localFired = true
-	g.fired++
-	pp := g.pp
-	if pp.pend == g {
-		pp.pend = nil
-	}
-	for i, fn := range g.local {
-		g.local[i] = nil
-		fn()
-	}
-	g.local = g.local[:0]
-	if g.fired == g.armed {
-		g.next = pp.free
-		pp.free = g
-	}
-}
-
-// runRemote fires the delivery side of the group.
-func (g *stagedGroup) runRemote() {
-	g.remoteFired = true
-	g.fired++
-	pp := g.pp
-	if pp.pend == g {
-		pp.pend = nil
-	}
-	for i, fn := range g.remote {
-		g.remote[i] = nil
-		fn()
-	}
-	g.remote = g.remote[:0]
-	if g.fired == g.armed {
-		g.next = pp.free
-		pp.free = g
-	}
-}
-
 // TransferStaged books a transfer and runs onLocal when its serialization
 // finishes (UCX local put completion: source buffer reusable) and onRemote
-// when it is delivered at the far end. Either callback may be nil.
-//
-// Unlike TransferThen, staged transfers with coincident firing times fuse:
-// if the pipe's open group already covers this transfer's (serialized,
-// delivered) pair, the callbacks append to it and no new events enter the
-// heap — the common case is a zero-occupancy flag put riding immediately
-// behind the data put it completes, collapsing a four-event chain to two.
-// Any contention (non-coincident times, or the group already fired) falls
-// back to the stepped path by opening a fresh group, which schedules events
-// exactly as TransferThen would.
+// when it is delivered at the far end. Either callback may be nil. Each
+// side is one plain event, exactly as TransferThen books its delivery.
 func (pp *Pipe) TransferStaged(size int64, onLocal, onRemote func()) (serialized, delivered Time) {
 	del := pp.Transfer(size)
 	ser := del - Time(pp.Latency)
-	if pp.stepped {
-		if onLocal != nil {
-			pp.k.At(ser, onLocal)
-		}
-		if onRemote != nil {
-			pp.k.At(del, onRemote)
-		}
-		return ser, del
-	}
-	g := pp.pend
-	if g == nil || g.ser != ser || g.del != del || g.localFired || g.remoteFired {
-		g = pp.newGroup(ser, del)
-		pp.pend = g
-	}
-	var elided int64
 	if onLocal != nil {
-		if len(g.local) == 0 {
-			pp.k.At(ser, g.runLocalFn)
-			g.armed++
-		} else {
-			elided++
-		}
-		g.local = append(g.local, onLocal)
+		pp.k.At(ser, onLocal)
 	}
 	if onRemote != nil {
-		if len(g.remote) == 0 {
-			pp.k.At(del, g.runRemoteFn)
-			g.armed++
-		} else {
-			elided++
-		}
-		g.remote = append(g.remote, onRemote)
-	}
-	if elided > 0 {
-		pp.elided += elided
-		pp.k.NoteElided(elided)
+		pp.k.At(del, onRemote)
 	}
 	return ser, del
 }

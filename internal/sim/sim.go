@@ -220,9 +220,8 @@ func (r blockReason) String() string {
 }
 
 // procPoison unwinds a parked proc's coroutine when Run drains its kernel.
-// It is recovered — and swallowed — by Proc.exit (the bridge loop's own
-// defer for bridge procs), so user defers run and the coroutine (with its
-// stack) is freed instead of staying parked.
+// It is recovered — and swallowed — by Proc.exit, so user defers run and
+// the coroutine (with its stack) is freed instead of staying parked.
 type procPoison struct{}
 
 // Proc is a simulated process: a stdlib coroutine the scheduler resumes
@@ -389,9 +388,8 @@ func TotalDispatched() int64 { return atomic.LoadInt64(&totalDispatched) }
 var totalElided int64
 
 // TotalElided reports the process-wide number of scheduler events absorbed
-// by closed-form elision (pipe staged-transfer fusion, lazily-settled put
-// completions) in completed Run calls. An elided event's work still
-// happened — its callbacks rode an existing event or were folded into an
+// by closed-form elision (lazily-settled put completions) in completed Run
+// calls. An elided event's work still happened — it was folded into an
 // accessor — so dispatches + elided is the figure comparable to the
 // pre-elision dispatch count.
 func TotalElided() int64 { return atomic.LoadInt64(&totalElided) }
@@ -416,8 +414,8 @@ type Kernel struct {
 	dispatched int64 // proc resumes + event callbacks, for perf reporting
 	flushed    int64 // portion of dispatched already added to totalDispatched
 	// elided counts scheduler events that were never scheduled because a
-	// closed-form path absorbed them: pipe staged-transfer fusion and
-	// lazily-settled put completions (see pipe.go and NoteElided).
+	// closed-form path absorbed them: lazily-settled put completions (see
+	// NoteElided).
 	elided        int64
 	elidedFlushed int64
 }
@@ -549,7 +547,9 @@ func (k *Kernel) GoID(prefix string, id int, body func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, nameID int, body func(p *Proc)) *Proc {
-	p := k.newProc(name, nameID)
+	k.nextID++
+	p := &Proc{k: k, name: name, nameID: nameID, id: k.nextID, liveIdx: len(k.live)}
+	k.live = append(k.live, p)
 	p.start(body)
 	k.ready(p)
 	return p
@@ -565,18 +565,11 @@ func (p *Proc) exit() {
 	}
 }
 
-// newProc registers a not-yet-started proc in the live set.
-func (k *Kernel) newProc(name string, nameID int) *Proc {
-	k.nextID++
-	p := &Proc{k: k, name: name, nameID: nameID, id: k.nextID, liveIdx: len(k.live)}
-	k.live = append(k.live, p)
-	return p
-}
-
 // GoDaemon creates a Proc like Go, but marks it as a daemon: a service
-// process (GPU stream executor, progression engine) that legitimately blocks
-// forever once its work is done. Daemons left blocked at the end of a
-// simulation do not count as a deadlock.
+// process that legitimately blocks forever once its work is done (the
+// library's own service actors are daemon Tasks; see SpawnTaskDaemon).
+// Daemons left blocked at the end of a simulation do not count as a
+// deadlock.
 func (k *Kernel) GoDaemon(name string, body func(p *Proc)) *Proc {
 	p := k.Go(name, body)
 	p.daemon = true
@@ -604,14 +597,6 @@ func (k *Kernel) ready(p *Proc) {
 // blocking or finishing).
 func (k *Kernel) resume(p *Proc) {
 	k.dispatched++
-	k.handoff(p)
-}
-
-// handoff is resume without the dispatch accounting. Task bridge procs are
-// woken through it directly (task.go): the bridge continues work already
-// paid for by the wake that started the owning Task's trampoline, so
-// counting it again would inflate dispatches/sec.
-func (k *Kernel) handoff(p *Proc) {
 	p.state = stateRunning
 	if _, ok := p.next(); !ok {
 		k.reap(p)
@@ -798,8 +783,8 @@ func (k *Kernel) flushCounters() {
 // that only need a prefix of the simulated execution.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// drain releases every proc still live when Run returns: leftover daemons
-// and bridge procs, deadlocked or abandoned procs. stop unwinds a parked
+// drain releases every proc still live when Run returns: leftover daemons,
+// deadlocked or abandoned procs. stop unwinds a parked
 // coroutine — block panics procPoison, which Proc.exit swallows — and
 // discards one that never ran. After drain the kernel holds no
 // goroutines, and a drained proc readied later panics instead of running.

@@ -436,18 +436,49 @@ func TestPipePerOpOverhead(t *testing.T) {
 }
 
 func TestPipeTransferThenFiresCallback(t *testing.T) {
-	k := NewKernel(1)
-	p := NewPipe(k, "link", 50, 1e9)
-	var fired Time
-	k.Go("s", func(pr *Proc) {
-		p.TransferThen(100, func() { fired = k.Now() })
-		pr.Wait(10000)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	// 100 bytes at 1 B/ns serialize by 100 and, 50 ns of latency later, are
+	// delivered at 150. TransferThen fires at delivery; TransferStaged fires
+	// onLocal at serialization end and onRemote at delivery, and either side
+	// may be nil. never marks a side that must not fire.
+	const never Time = -1
+	cases := []struct {
+		name             string
+		book             func(pp *Pipe, local, remote func()) (ser, del Time)
+		wantLoc, wantRem Time
+	}{
+		{"TransferThen", func(pp *Pipe, _, remote func()) (Time, Time) {
+			return 100, pp.TransferThen(100, remote)
+		}, never, 150},
+		{"TransferStaged", func(pp *Pipe, local, remote func()) (Time, Time) {
+			return pp.TransferStaged(100, local, remote)
+		}, 100, 150},
+		{"TransferStaged/nil-local", func(pp *Pipe, _, remote func()) (Time, Time) {
+			return pp.TransferStaged(100, nil, remote)
+		}, never, 150},
+		{"TransferStaged/nil-remote", func(pp *Pipe, local, _ func()) (Time, Time) {
+			return pp.TransferStaged(100, local, nil)
+		}, 100, never},
 	}
-	if fired != 150 {
-		t.Fatalf("callback at %v, want 150", fired)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(1)
+			p := NewPipe(k, "link", 50, 1e9)
+			local, remote := never, never
+			var ser, del Time
+			k.Go("s", func(pr *Proc) {
+				ser, del = tc.book(p, func() { local = k.Now() }, func() { remote = k.Now() })
+				pr.Wait(10000)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if ser != 100 || del != 150 {
+				t.Fatalf("booked (serialized, delivered) = (%v, %v), want (100, 150)", ser, del)
+			}
+			if local != tc.wantLoc || remote != tc.wantRem {
+				t.Fatalf("local fired at %v, remote at %v; want %v and %v (-1 = never)", local, remote, tc.wantLoc, tc.wantRem)
+			}
+		})
 	}
 }
 

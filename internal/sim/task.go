@@ -21,8 +21,8 @@ import (
 
 // TaskFn is one step of a Task state machine. A step runs to completion on
 // the scheduler's own goroutine; before returning it arms what happens next
-// with Then / Sleep / an Await on a primitive / CallProc. Returning without
-// arming anything completes the Task.
+// with Then / Sleep / an Await on a primitive. Returning without arming
+// anything completes the Task.
 type TaskFn func(t *Task)
 
 // suspendState records how the current step left the Task when it returned.
@@ -34,16 +34,16 @@ const (
 	// suspInline: continue with t.fn immediately, inside the same dispatch
 	// (armed by Then alone, or by a Sleep that hit a fused fast path).
 	suspInline
-	// suspParked: a wake is armed — a timer event, a waiter-ring slot, or a
-	// bridged proc call — and the trampoline must return to the scheduler.
+	// suspParked: a wake is armed — a timer event or a waiter-ring slot —
+	// and the trampoline must return to the scheduler.
 	suspParked
 )
 
 // Task is a continuation-based simulated actor: a state machine whose steps
-// run directly on the scheduler instead of on a dedicated goroutine. Leaf
-// service actors (progression engines, GPU stream serve loops) are Tasks;
-// user-facing rank bodies stay Procs, where imperative blocking code is worth
-// a stack.
+// run directly on the scheduler instead of on a dedicated goroutine. Every
+// service actor (progression engines, GPU stream serve loops and the fused
+// NCCL ring they run) is a Task; user-facing rank bodies stay Procs, where
+// imperative blocking code is worth a stack.
 //
 // All methods must be called from inside a running step (they arm the
 // continuation for when the step returns).
@@ -60,12 +60,6 @@ type Task struct {
 	reason  blockReason
 	liveIdx int // index into k.liveTasks, for O(1) reap
 	daemon  bool
-
-	// Coroutine escape hatch: CallProc runs a blocking func(p *Proc) body on
-	// a lazily created, persistent bridge proc owned by this Task.
-	bridge   *Proc
-	bridgeFn func(p *Proc)
-	onBridge bool // the trampoline is currently running on the bridge proc
 }
 
 // Kernel returns the simulation kernel this Task belongs to.
@@ -210,14 +204,6 @@ func (k *Kernel) stepTask(t *Task) {
 		case suspInline:
 			continue
 		case suspParked:
-			if t.bridgeFn != nil && !t.onBridge {
-				// A step armed CallProc from the scheduler side: hand control
-				// to the bridge proc now, synchronously, exactly where a
-				// goroutine actor would have called the blocking body inline.
-				// Deliberately not counted as a dispatch — the wake that
-				// started this trampoline already was.
-				k.handoff(t.bridge)
-			}
 			return
 		default:
 			t.state = stateDone
@@ -228,7 +214,7 @@ func (k *Kernel) stepTask(t *Task) {
 }
 
 // Then arms fn as the next step. Alone it means "continue with fn in this
-// same dispatch"; followed by Sleep/Await/CallProc it names the step that
+// same dispatch"; followed by Sleep/Await it names the step that
 // runs after the wake. Both orders (Then-then-Sleep, Sleep-then-Then) are
 // equivalent.
 func (t *Task) Then(fn TaskFn) {
@@ -289,77 +275,4 @@ func (t *Task) park(on blockReason) {
 	t.susp = suspParked
 	t.state = stateBlocked
 	t.reason = on
-}
-
-// CallProc runs fn — arbitrary imperative code that may block with
-// Proc-style Wait/Cond.Wait calls — on the Task's bridge proc, a persistent
-// helper coroutine created lazily on first use. When fn returns, the Task's
-// armed continuation runs (on the bridge proc, so no extra handoff or
-// dispatch is spent). The bridge is how Task actors drive legacy blocking
-// code (collective progress, fused NCCL ops) without converting it; its
-// parks and wakes land on the same event heap slots the code's previous
-// goroutine owner used, so virtual time is unchanged.
-//
-// The bridge proc is always a daemon: in a deadlock it is the Task that is
-// reported, with reason "bridge".
-func (t *Task) CallProc(fn func(p *Proc)) {
-	if t.susp == suspParked {
-		panic("sim: task " + t.Name() + " suspended twice in one step")
-	}
-	if t.bridge == nil {
-		t.bridge = t.k.newBridgeProc(t)
-	}
-	t.bridgeFn = fn
-	t.susp = suspParked
-	t.state = stateBlocked
-	t.reason = blockReason{kind: blockCond, name: "bridge"}
-}
-
-// newBridgeProc creates the persistent bridge proc for t. It does NOT go
-// through Go: the bridge must never join the run queue on its own (that
-// would perturb the schedule) — it is resumed only by direct handoff from
-// stepTask and by the timer/cond wakes its blocking body arms.
-func (k *Kernel) newBridgeProc(t *Task) *Proc {
-	p := k.newProc(t.name, t.nameID)
-	p.daemon = true
-	p.start(t.bridgeLoop)
-	return p
-}
-
-// bridgeLoop is the bridge proc's body: run the armed blocking call, then
-// continue the Task's state machine in place, and park idle until the next
-// CallProc handoff. Running the trampoline here means a Task step that
-// immediately arms another CallProc is picked up iteratively with no
-// scheduler round trip — the same control flow a proc actor had when it
-// called two blocking operations back to back.
-func (t *Task) bridgeLoop(p *Proc) {
-	k := t.k
-	defer func() {
-		if r := recover(); r != nil {
-			if _, poison := r.(procPoison); !poison && k.panicked == nil {
-				k.panicked = &taskPanicError{t: t, val: r}
-			}
-		}
-	}()
-	for {
-		fn := t.bridgeFn
-		if fn == nil {
-			// Nothing armed: the Task parked on a timer/cond (or completed)
-			// from a bridged step. Park until the next CallProc handoff.
-			p.block(stateBlocked, blockReason{kind: blockCond, name: "bridge-idle"})
-			continue
-		}
-		t.bridgeFn = nil
-		fn(p)
-		k.continueBridged(t)
-	}
-}
-
-// continueBridged runs the Task trampoline on the bridge proc after a
-// bridged call returns. The scheduler is parked in a handoff for the whole
-// time, so exactly one actor still runs at any instant.
-func (k *Kernel) continueBridged(t *Task) {
-	t.onBridge = true
-	k.stepTask(t)
-	t.onBridge = false
 }

@@ -190,8 +190,8 @@ func (w *Worker) Progress(p *sim.Proc) int {
 // engines: it drains the callback queue charging the per-item cost, then
 // continues with done. Callbacks run with a nil proc — every production
 // completion callback only mutates request counters and ignores the
-// progressing proc (the func(p) signature remains for the legacy
-// goroutine-driven path).
+// progressing proc (the func(p) signature serves Progress, which host procs
+// call from their Wait loops).
 func (w *Worker) ProgressTask(t *sim.Task, done sim.TaskFn) {
 	w.tN = 0
 	w.tDone = done
@@ -383,8 +383,7 @@ func (ep *Endpoint) PutPartitionCommit(k Rkey, part int, src []float64, cb func(
 	// completes *locally* once the pipe has serialized it (UCX put
 	// completion semantics: the source buffer is reusable, the remote
 	// write is not yet guaranteed visible). Ordering of subsequent puts on
-	// the same endpoint is preserved by the pipe's FIFO (and, when staged
-	// deliveries fuse, by the group's append order). A timing-only world
+	// the same endpoint is preserved by the pipe's FIFO. A timing-only world
 	// still books the delivery event, but it moves no data.
 	deliver := noDelivery
 	if !ep.w.Ctx.K.TimingOnly() {
