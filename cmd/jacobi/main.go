@@ -36,10 +36,10 @@ func main() {
 	pa := bench.MeasureJacobi(topo, cfg, jacobi.Partitioned)
 	fmt.Printf("jacobi %dx%d tiles of %dx%d, %d iterations\n", px, py, tile, tile, *iters)
 	fmt.Printf("traditional : %10.3f GFLOP/s  (%.3f ms, checksum %.6f)\n",
-		tr.GFLOPs, tr.Elapsed.Seconds()*1e3, tr.Checksum)
+		tr.GFLOPs, tr.Elapsed.Seconds()*1e3, tr.Checksum())
 	fmt.Printf("partitioned : %10.3f GFLOP/s  (%.3f ms, checksum %.6f)  %.3fx\n",
-		pa.GFLOPs, pa.Elapsed.Seconds()*1e3, pa.Checksum, pa.GFLOPs/tr.GFLOPs)
-	if tr.Checksum != pa.Checksum {
+		pa.GFLOPs, pa.Elapsed.Seconds()*1e3, pa.Checksum(), pa.GFLOPs/tr.GFLOPs)
+	if tr.Checksum() != pa.Checksum() {
 		fmt.Println("WARNING: variants disagree numerically")
 	}
 }

@@ -81,8 +81,8 @@ func TestEndToEndApplicationAgreement(t *testing.T) {
 	jcfg := jacobi.Config{PX: 2, PY: 2, NX: 24, NY: 24, Iters: 5}
 	jt := bench.MeasureJacobi(cluster.OneNodeGH200(), jcfg, jacobi.Traditional)
 	jp := bench.MeasureJacobi(cluster.OneNodeGH200(), jcfg, jacobi.Partitioned)
-	if jt.Checksum != jp.Checksum {
-		t.Errorf("jacobi variants disagree: %v vs %v", jt.Checksum, jp.Checksum)
+	if jt.Checksum() != jp.Checksum() {
+		t.Errorf("jacobi variants disagree: %v vs %v", jt.Checksum(), jp.Checksum())
 	}
 
 	dcfg := dl.Config{Params: 2048, Steps: 3, BlockSize: 256, UserParts: 2}

@@ -11,16 +11,16 @@ import (
 // effect summaries — an edge A -> B whenever some function acquires B
 // (directly or inside a callee) while holding A — and reports:
 //
-//   1. cycles in that graph (the classic ABBA inversion, including ones
-//      only visible interprocedurally: f locks A then calls g, g locks B;
-//      h locks B then calls k, k locks A);
-//   2. calls carrying the Blocks effect (transitively reaching a
-//      virtual-time parking primitive) made while holding a *kernel lock* —
-//      a lock that sim-driven-package code also acquires. A parked Proc
-//      holding such a lock stalls every other Proc that needs it, turning a
-//      virtual-time wait into a real deadlock. (lockedawait reports the
-//      sim-driven-package side of this; deadlockorder covers holders in any
-//      package once the lock is shared with sim-driven code.)
+//  1. cycles in that graph (the classic ABBA inversion, including ones
+//     only visible interprocedurally: f locks A then calls g, g locks B;
+//     h locks B then calls k, k locks A);
+//  2. calls carrying the Blocks effect (transitively reaching a
+//     virtual-time parking primitive) made while holding a *kernel lock* —
+//     a lock that sim-driven-package code also acquires. A parked Proc
+//     holding such a lock stalls every other Proc that needs it, turning a
+//     virtual-time wait into a real deadlock. (lockedawait reports the
+//     sim-driven-package side of this; deadlockorder covers holders in any
+//     package once the lock is shared with sim-driven code.)
 //
 // Both reports print the full call chain to the acquisition or the parking
 // primitive.

@@ -127,15 +127,15 @@ type Summary struct {
 var simBlockingPrimitives = map[string]bool{
 	"Proc.Wait": true, "Proc.WaitUntil": true, "Proc.Yield": true, "Proc.block": true,
 	"Cond.Wait": true, "Cond.WaitFor": true,
-	"Gate.Wait":         true,
+	"Gate.Wait":           true,
 	"Counter.WaitAtLeast": true,
-	"Queue.Pop":         true,
+	"Queue.Pop":           true,
 }
 
 // partNotifyMethods seeds EffIssuesPready/EffIssuesParrived by identity on
 // internal/core request types.
 var preadyMethods = map[string]bool{
-	"SendRequest.Pready": true,
+	"SendRequest.Pready":    true,
 	"Prequest.PreadyThread": true, "Prequest.PreadyWarp": true,
 	"Prequest.PreadyBlock": true, "Prequest.PreadyBlockAggregated": true,
 	"Prequest.KernelCopyRange": true, "Prequest.KernelCopyWholePartition": true,

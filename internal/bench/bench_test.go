@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mpipart/internal/cluster"
 	"mpipart/internal/core"
 	"mpipart/internal/jacobi"
+	"mpipart/internal/mpi"
 	"mpipart/internal/sim"
 )
 
@@ -227,11 +229,34 @@ func TestMeasureJacobiVariantsAgree(t *testing.T) {
 	cfg := jacobi.Config{PX: 2, PY: 2, NX: 16, NY: 16, Iters: 3}
 	tr := MeasureJacobi(cluster.OneNodeGH200(), cfg, jacobi.Traditional)
 	pa := MeasureJacobi(cluster.OneNodeGH200(), cfg, jacobi.Partitioned)
-	if tr.Checksum != pa.Checksum {
-		t.Fatalf("checksums differ: %v vs %v", tr.Checksum, pa.Checksum)
+	if tr.Checksum() != pa.Checksum() {
+		t.Fatalf("checksums differ: %v vs %v", tr.Checksum(), pa.Checksum())
 	}
 	if pa.GFLOPs <= tr.GFLOPs {
 		t.Fatalf("partitioned should lead: %v vs %v", pa.GFLOPs, tr.GFLOPs)
+	}
+}
+
+// TestMeasureJacobiStatsOutliveFree: MeasureJacobi's stats hold rank 0's
+// checksum, not its tile, so overwriting every recycled slab after the
+// world is freed leaves the checksum unchanged.
+func TestMeasureJacobiStatsOutliveFree(t *testing.T) {
+	// A tile size no other test allocates.
+	cfg := jacobi.Config{PX: 2, PY: 2, NX: 23, NY: 19, Iters: 3}
+	topo := cluster.OneNodeGH200()
+	want := jacobi.Reference(cfg)[0]
+	for _, variant := range []func(*mpi.Rank, jacobi.Config) jacobi.Stats{jacobi.Traditional, jacobi.Partitioned} {
+		st := MeasureJacobi(topo, cfg, variant)
+		w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
+		for i := 0; i < 4*w.Size(); i++ {
+			buf := w.Rank(0).Dev.Alloc(cfg.NX * cfg.NY)
+			for j := range buf {
+				buf[j] = math.NaN()
+			}
+		}
+		if got := st.Checksum(); got != want {
+			t.Fatalf("checksum after Free = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ const JacobiBaseTile = 32
 // JacobiIters is the number of sweeps per measurement.
 const JacobiIters = 4
 
-// MeasureJacobi runs one Jacobi variant SPMD and returns rank 0's stats.
+// MeasureJacobi runs one Jacobi variant SPMD and returns rank 0's stats,
+// resolved: only rank 0's tile is summed, inside the SPMD body, before
+// World.Free recycles the slab.
 func MeasureJacobi(topo cluster.Topology, cfg jacobi.Config,
 	variant func(r *mpi.Rank, cfg jacobi.Config) jacobi.Stats) jacobi.Stats {
 	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
@@ -25,7 +27,7 @@ func MeasureJacobi(topo cluster.Topology, cfg jacobi.Config,
 	w.Spawn(func(r *mpi.Rank) {
 		st := variant(r, cfg)
 		if r.ID == 0 {
-			out = st
+			out = st.Resolved()
 		}
 	})
 	if err := w.Run(); err != nil {
@@ -55,7 +57,7 @@ func JacobiPoint(id string, topo cluster.Topology, cfg jacobi.Config, variant st
 		Key: runner.KeyOf("jacobi", topo, cluster.DefaultModel(), cfg, variant),
 		Run: func() runner.Metrics {
 			st := MeasureJacobi(topo, cfg, v)
-			return runner.Metrics{"gflops": st.GFLOPs, "checksum": st.Checksum}
+			return runner.Metrics{"gflops": st.GFLOPs, "checksum": st.Checksum()}
 		},
 	}
 }

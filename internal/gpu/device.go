@@ -101,12 +101,27 @@ func NewDevice(k *sim.Kernel, m *cluster.Model, f *fabric.Fabric, id int) *Devic
 }
 
 // Alloc allocates device global memory of n float64 elements, zeroed like
-// make(). Allocation time is not modeled (cudaMalloc happens at setup,
-// outside every timed region in the paper). Buffers come from the global
-// recycling pool when an exact-size slab is available; the explicit clear
-// below restores make() semantics bit for bit. A timing-only world gets a
-// LengthOnly buffer instead, which never enters the pool.
+// cudaMalloc followed by cudaMemset. Allocation time is not modeled
+// (cudaMalloc happens at setup, outside every timed region in the paper).
+// Buffers come from the global recycling pool when an exact-size slab is
+// available, else from make; either way Alloc clears every element, so
+// each page is written, and faulted in, once here rather than mapped to
+// the shared zero page by a first read and faulted again by the first
+// write. A timing-only world gets a LengthOnly buffer instead, which never
+// enters the pool.
 func (d *Device) Alloc(n int) []float64 {
+	buf := d.AllocUncleared(n)
+	if !d.K.TimingOnly() {
+		clear(buf)
+	}
+	return buf
+}
+
+// AllocUncleared is Alloc without the clear (cudaMalloc without
+// cudaMemset): the contents are undefined, possibly a released slab's old
+// values, so it is only for buffers the caller fully overwrites before
+// any read.
+func (d *Device) AllocUncleared(n int) []float64 {
 	if d.K.TimingOnly() {
 		return LengthOnly(n)
 	}
@@ -119,10 +134,6 @@ func (d *Device) Alloc(n int) []float64 {
 	slabPool.Unlock()
 	if buf == nil {
 		buf = make([]float64, n)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
 	}
 	d.allocs = append(d.allocs, buf)
 	return buf

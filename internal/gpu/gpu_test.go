@@ -550,12 +550,13 @@ func TestClaimWaveOverflow(t *testing.T) {
 }
 
 // TestAllocZeroesRecycledSlab pins the invariant callers rely on instead of
-// zeroing buffers themselves (jacobi's initial guess): Alloc returns zeros
-// even when it hands out a slab an earlier device wrote and released.
+// zeroing buffers themselves (jacobi's initial guess): Alloc returns zeros,
+// both for a fresh slab and for one an earlier device wrote and released.
 func TestAllocZeroesRecycledSlab(t *testing.T) {
 	const n = 3*1024 + 7 // a size no other test allocates
 	_, _, d := newTestDevice()
 	buf := d.Alloc(n)
+	requireZero(t, "fresh", buf)
 	for i := range buf {
 		buf[i] = float64(i + 1)
 	}
@@ -565,9 +566,64 @@ func TestAllocZeroesRecycledSlab(t *testing.T) {
 	if &again[0] != &buf[0] {
 		t.Fatal("Alloc did not recycle the released slab")
 	}
-	for i, v := range again {
+	requireZero(t, "recycled", again)
+}
+
+func requireZero(t *testing.T, what string, buf []float64) {
+	t.Helper()
+	for i, v := range buf {
 		if v != 0 {
-			t.Fatalf("recycled slab element %d = %v, want 0", i, v)
+			t.Fatalf("%s slab element %d = %v, want 0", what, i, v)
 		}
+	}
+}
+
+// TestAllocUnclearedRecyclesAndTracks: AllocUncleared draws from the same
+// pool as Alloc and returns its buffers to it on Release; a timing-only
+// world gets the shared length-only backing.
+func TestAllocUnclearedRecyclesAndTracks(t *testing.T) {
+	const n = 5*1024 + 3 // a size no other test allocates
+	_, _, d := newTestDevice()
+	buf := d.AllocUncleared(n)
+	if len(buf) != n {
+		t.Fatalf("len = %d, want %d", len(buf), n)
+	}
+	d.Release()
+	_, _, d2 := newTestDevice()
+	if again := d2.AllocUncleared(n); &again[0] != &buf[0] {
+		t.Fatal("AllocUncleared did not recycle the released slab")
+	}
+	k3, _, d3 := newTestDevice()
+	k3.SetTimingOnly()
+	if lo := d3.AllocUncleared(n); len(lo) != n || &lo[0] != &LengthOnly(1)[0] {
+		t.Fatal("timing-only AllocUncleared did not return a LengthOnly buffer")
+	}
+}
+
+// chargeBody is a kernel body that captures nothing, so launching it
+// allocates no closure.
+func chargeBody(b *BlockCtx) { b.Charge(1) }
+
+// TestWaveBlocksAllocFree pins that block bodies run against the stream's
+// one reused BlockCtx: a full wave of blocks allocates exactly what a
+// one-block kernel does.
+func TestWaveBlocksAllocFree(t *testing.T) {
+	run := func(grid int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			k, _, d := newTestDevice()
+			s := d.NewStream("s")
+			k.Go("host", func(p *sim.Proc) {
+				s.Launch(KernelSpec{Name: "k", Grid: grid, Block: 1024, Body: chargeBody})
+				s.Synchronize(p)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	m := cluster.DefaultModel()
+	wave := m.BlocksPerWave(1024)
+	if one, full := run(1), run(wave); full != one {
+		t.Fatalf("a %d-block wave made %v allocs, a one-block kernel %v: blocks allocate", wave, full, one)
 	}
 }

@@ -20,7 +20,8 @@ type KernelSpec struct {
 	// Body is executed once per block, after the wave's compute time has
 	// elapsed (so stores and Pready signalling happen at the virtual time
 	// the block's work completes, while the arithmetic itself is "paid
-	// for" by WaveTime).
+	// for" by WaveTime). b is valid only during the call: the stream
+	// reuses one BlockCtx for every block, so a body must not retain b.
 	Body func(b *BlockCtx)
 }
 

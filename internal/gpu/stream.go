@@ -36,6 +36,9 @@ type Stream struct {
 	bpw     int          // kernel: blocks per wave
 	wstart  int          // kernel: first block of the next wave
 	fusedT0 sim.Time     // fused: span start, after the launch latency
+	// blk is the BlockCtx every block body of this stream runs against,
+	// reset per block, so a wave allocates nothing per block.
+	blk BlockCtx
 
 	// SynchronizeTask state: the caller's start time, the op count to
 	// drain and its continuation.
@@ -181,9 +184,10 @@ func (s *Stream) stepWaveBody(t *sim.Task) {
 	}
 	var maxExtra sim.Duration
 	if spec.Body != nil {
+		bc := &s.blk
 		for blk := start; blk < end; blk++ {
-			bc := BlockCtx{Idx: blk, Dim: spec.Block, Grid: spec.Grid, stream: s}
-			spec.Body(&bc)
+			*bc = BlockCtx{Idx: blk, Dim: spec.Block, Grid: spec.Grid, stream: s}
+			spec.Body(bc)
 			if bc.extra > maxExtra {
 				maxExtra = bc.extra
 			}

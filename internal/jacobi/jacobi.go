@@ -76,11 +76,38 @@ func (c Config) Validate(P int) error {
 	return nil
 }
 
-// Stats reports one rank's timing and the solution checksum.
+// Stats reports one rank's timing and its final tile, whose sum Checksum
+// computes on demand: a caller that reads one rank's checksum sums one
+// tile, not one per rank.
+//
+// The tile is the rank's device buffer, valid only until the world's
+// devices are released (mpi.World.Free recycles it): read Checksum before
+// then, or keep the Stats that Resolved returns, which holds the sum and no
+// tile.
 type Stats struct {
-	Elapsed  sim.Duration
-	GFLOPs   float64 // virtual GFLOP/s across the whole world
-	Checksum float64 // sum of the rank's final tile (for verification)
+	Elapsed sim.Duration
+	GFLOPs  float64 // virtual GFLOP/s across the whole world
+
+	tile []float64 // the rank's final tile; nil once resolved
+	sum  float64   // the tile's sum once resolved
+}
+
+// Checksum returns the sum of the rank's final tile (for verification).
+func (s Stats) Checksum() float64 {
+	if s.tile == nil {
+		return s.sum
+	}
+	sum := 0.0
+	for _, v := range s.tile {
+		sum += v
+	}
+	return sum
+}
+
+// Resolved returns s with the checksum computed and the tile dropped, so
+// it stays valid after the world's devices are released.
+func (s Stats) Resolved() Stats {
+	return Stats{Elapsed: s.Elapsed, GFLOPs: s.GFLOPs, sum: s.Checksum()}
 }
 
 // state holds one rank's tile and halo storage.
@@ -107,8 +134,9 @@ func newState(r *mpi.Rank, cfg Config) *state {
 	s := &state{
 		r: r, cfg: cfg,
 		px: r.ID % cfg.PX, py: r.ID / cfg.PX,
-		a:     r.Dev.Alloc(cfg.NX * cfg.NY),
-		anew:  r.Dev.Alloc(cfg.NX * cfg.NY),
+		a: r.Dev.Alloc(cfg.NX * cfg.NY),
+		// Every sweep writes all of anew before anything reads it.
+		anew:  r.Dev.AllocUncleared(cfg.NX * cfg.NY),
 		packN: r.Dev.Alloc(cfg.NX), packS: r.Dev.Alloc(cfg.NX),
 		packW: r.Dev.Alloc(cfg.NY), packE: r.Dev.Alloc(cfg.NY),
 	}
@@ -185,15 +213,7 @@ func (s *state) stencilSpec(onBlockDone func(b *gpu.BlockCtx, row int)) gpu.Kern
 				down = s.a[base+nx : base+2*nx]
 			}
 			out := s.anew[base : base+nx : base+nx]
-			if nx == 1 {
-				out[0] = 0.25 * (s.curW[row] + s.curE[row] + up[0] + down[0])
-			} else {
-				out[0] = 0.25 * (s.curW[row] + cur[1] + up[0] + down[0])
-				for x := 1; x < nx-1; x++ {
-					out[x] = 0.25 * (cur[x-1] + cur[x+1] + up[x] + down[x])
-				}
-				out[nx-1] = 0.25 * (cur[nx-2] + s.curE[row] + up[nx-1] + down[nx-1])
-			}
+			stencilRow(out, cur, up, down, s.curW[row], s.curE[row])
 			// Pack boundary values for the halo exchange.
 			s.packW[row] = out[0]
 			s.packE[row] = out[nx-1]
@@ -210,23 +230,43 @@ func (s *state) stencilSpec(onBlockDone func(b *gpu.BlockCtx, row int)) gpu.Kern
 	}
 }
 
-func (s *state) swap() { s.a, s.anew = s.anew, s.a }
-
-func (s *state) checksum() float64 {
-	sum := 0.0
-	for _, v := range s.a {
-		sum += v
+// stencilRow computes one tile row: out[x] = 0.25 * (W + E + N + S) of
+// point x, where W and E come from cur (or the halo values west and east
+// at the row's ends) and N and S from up and down. The sum is evaluated
+// left to right in exactly that order, so results are bit-identical to a
+// point-by-point loop. Operands are re-sliced to len(out), which lets the
+// compiler drop the bounds checks on out, up and down (one check per point
+// is left, on cur, where the point loop had three), and the loop is
+// unrolled by 2, carrying the left and centre loads into the next pair.
+func stencilRow(out, cur, up, down []float64, west, east float64) {
+	n := len(out)
+	cur, up, down = cur[:n], up[:n], down[:n]
+	left, mid := west, cur[0]
+	x := 0
+	for ; x < n-2; x += 2 {
+		c1, c2 := cur[x+1], cur[x+2]
+		out[x] = 0.25 * (left + c1 + up[x] + down[x])
+		out[x+1] = 0.25 * (mid + c2 + up[x+1] + down[x+1])
+		left, mid = c1, c2
 	}
-	return sum
+	if x+1 < n {
+		c1 := cur[x+1]
+		out[x] = 0.25 * (left + c1 + up[x] + down[x])
+		left = mid
+		x++
+	}
+	out[x] = 0.25 * (left + east + up[x] + down[x])
 }
+
+func (s *state) swap() { s.a, s.anew = s.anew, s.a }
 
 func (s *state) stats(elapsed sim.Duration) Stats {
 	points := float64(s.cfg.NX*s.cfg.NY) * float64(s.cfg.PX*s.cfg.PY)
 	flops := points * FlopsPerPoint * float64(s.cfg.Iters)
 	return Stats{
-		Elapsed:  elapsed,
-		GFLOPs:   flops / elapsed.Seconds() / 1e9,
-		Checksum: s.checksum(),
+		Elapsed: elapsed,
+		GFLOPs:  flops / elapsed.Seconds() / 1e9,
+		tile:    s.a,
 	}
 }
 

@@ -44,7 +44,7 @@ func run(t *testing.T, topo cluster.Topology, cfg Config,
 	stats := make([]Stats, w.Size())
 	w.Spawn(func(r *mpi.Rank) {
 		st := variant(r, cfg)
-		sums[r.ID] = st.Checksum
+		sums[r.ID] = st.Checksum()
 		stats[r.ID] = st
 	})
 	if err := w.Run(); err != nil {
@@ -159,6 +159,98 @@ func TestStatsAccounting(t *testing.T) {
 	for i, s := range st {
 		if s.Elapsed <= 0 || s.GFLOPs <= 0 {
 			t.Fatalf("rank %d stats: %+v", i, s)
+		}
+	}
+}
+
+// TestStencilRowMatchesPointLoop pins the unrolled row helper to the plain
+// point-by-point loop, bit for bit, at even, odd and tiny widths.
+func TestStencilRowMatchesPointLoop(t *testing.T) {
+	for _, nx := range []int{1, 2, 3, 4, 5, 7, 8, 33, 1024} {
+		cur, up, down := make([]float64, nx), make([]float64, nx), make([]float64, nx)
+		for i := 0; i < nx; i++ {
+			// Values of mixed magnitude, so a reordered sum would round
+			// differently.
+			cur[i] = 1/float64(i+3) + 1e6*float64(i%3)
+			up[i] = math.Sqrt(float64(i+2)) * 1e-3
+			down[i] = float64(i*i%17) + 1e-9*float64(i)
+		}
+		west, east := 0.1, 1e8/3
+		want := make([]float64, nx)
+		for x := 0; x < nx; x++ {
+			w, e := west, east
+			if x > 0 {
+				w = cur[x-1]
+			}
+			if x < nx-1 {
+				e = cur[x+1]
+			}
+			want[x] = 0.25 * (w + e + up[x] + down[x])
+		}
+		got := make([]float64, nx)
+		stencilRow(got, cur, up, down, west, east)
+		for x := range want {
+			if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+				t.Fatalf("nx=%d x=%d: got %v, want %v", nx, x, got[x], want[x])
+			}
+		}
+	}
+}
+
+var variants = []struct {
+	name string
+	fn   func(*mpi.Rank, Config) Stats
+}{{"traditional", Traditional}, {"partitioned", Partitioned}}
+
+// requireReference runs both variants and requires every rank's checksum
+// to equal Reference exactly: both sum the same values in the same order.
+func requireReference(t *testing.T, topo cluster.Topology, cfg Config) {
+	t.Helper()
+	want := Reference(cfg)
+	for _, v := range variants {
+		got, _ := run(t, topo, cfg, v.fn)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s rank %d checksum = %v, want %v", v.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestOddTileMatchesReferenceExactly covers a tile whose width is odd, so
+// the unrolled row ends on its single-point tail, and whose height differs
+// from its width.
+func TestOddTileMatchesReferenceExactly(t *testing.T) {
+	requireReference(t, cluster.OneNodeGH200(), Config{PX: 2, PY: 2, NX: 33, NY: 37, Iters: 5})
+}
+
+// TestPoisonedPoolMatchesReference fills the slab pool with NaN slabs of
+// the tile, row and column sizes before each run. Alloc must clear them;
+// anew, allocated without a clear, must be written before any read. A NaN
+// that leaks into any computed point makes the checksum NaN.
+func TestPoisonedPoolMatchesReference(t *testing.T) {
+	// Sizes no other test in this package allocates, so the poisoned
+	// slabs are the ones these runs draw.
+	cfg := Config{PX: 2, PY: 2, NX: 29, NY: 31, Iters: 3}
+	topo := cluster.OneNodeGH200()
+	for _, v := range variants {
+		w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
+		d := w.Rank(0).Dev
+		for i := 0; i < 4*w.Size(); i++ {
+			for _, n := range []int{cfg.NX * cfg.NY, cfg.NX, cfg.NY} {
+				buf := d.Alloc(n)
+				for j := range buf {
+					buf[j] = math.NaN()
+				}
+			}
+		}
+		w.Free()
+		want := Reference(cfg)
+		got, _ := run(t, topo, cfg, v.fn)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s rank %d checksum = %v, want %v", v.name, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -174,21 +174,6 @@ func TestShuffleScheduleInvariance(t *testing.T) {
 	}
 }
 
-// TestShuffleDoesNotTouchUserRNG: the perturbation PRNG is separate from the
-// kernel RNG handed to model code, so enabling shuffle mode cannot change
-// what Rand() draws.
-func TestShuffleDoesNotTouchUserRNG(t *testing.T) {
-	plain := NewKernel(42)
-	shuffled := NewKernel(42)
-	shuffled.ShuffleTieBreaks(99)
-	for i := 0; i < 16; i++ {
-		a, b := plain.Rand().Int63(), shuffled.Rand().Int63()
-		if a != b {
-			t.Fatalf("draw %d: plain %d != shuffled %d — shuffle mode consumed the user RNG", i, a, b)
-		}
-	}
-}
-
 // TestSetShuffleSeedDerivesPerKernel: the process-wide seed mixes with the
 // NewKernel seed, and resetting it to zero restores byte-identical default
 // behavior (the golden-trace fixture test covers the unset-from-birth case).

@@ -405,8 +405,7 @@ type Kernel struct {
 	live       []*Proc // all non-done procs, for deadlock diagnostics
 	liveTasks  []*Task // all non-done tasks, for deadlock diagnostics
 	running    bool
-	rng        *rand.Rand
-	shuffle    *rand.Rand // non-nil = schedule-perturbation mode (never k.rng)
+	shuffle    *rand.Rand // non-nil = schedule-perturbation mode
 	timingOnly bool       // payload-free world (SetTimingOnly)
 	stopped    bool
 	panicked   error
@@ -432,12 +431,12 @@ var shuffleSeed atomic.Int64
 // seed) pair. Set it before constructing kernels, not while a sweep runs.
 func SetShuffleSeed(seed int64) { shuffleSeed.Store(seed) }
 
-// NewKernel creates an empty simulation with the clock at zero. The seed
-// feeds the deterministic RNG exposed via Rand. If a process-wide shuffle
-// seed is set (SetShuffleSeed), the kernel starts in schedule-perturbation
-// mode.
+// NewKernel creates an empty simulation with the clock at zero. If a
+// process-wide shuffle seed is set (SetShuffleSeed), the kernel starts in
+// schedule-perturbation mode, with the seed mixed into its perturbation
+// PRNG.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{}
 	if s := shuffleSeed.Load(); s != 0 {
 		k.ShuffleTieBreaks(s ^ seed*0x9E3779B9)
 	}
@@ -452,8 +451,7 @@ func NewKernel(seed int64) *Kernel {
 // (see the package doc) — is untouched; only the arrival order among
 // simultaneous completions, which the contract leaves arbitrary, is
 // randomized. A perturbed run is still fully deterministic for a given
-// seed. The perturbation PRNG is separate from Rand(), so model code
-// consuming the kernel RNG draws the same stream in both modes.
+// seed.
 //
 // The mode exists to expose hidden schedule dependence: any observable
 // model result (a golden metric, a figure point) that changes under
@@ -485,9 +483,6 @@ func (k *Kernel) TimingOnly() bool { return k.timingOnly }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Dispatched reports how many scheduler dispatches (proc resumes + event
 // callbacks) this kernel has executed so far.
