@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/token"
+	"go/types"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -17,12 +19,25 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
+// testImporter is the file set and stdlib source importer every test
+// loader shares, so the standard library is type-checked from source once
+// per test binary rather than once per loader. The tests run sequentially,
+// which the importer needs.
+var testImporter struct {
+	fset     *token.FileSet
+	fallback types.Importer
+}
+
 func newTestLoader(t *testing.T) *Loader {
 	t.Helper()
 	l, err := NewLoader(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if testImporter.fallback == nil {
+		testImporter.fset, testImporter.fallback = l.Fset, l.fallback
+	}
+	l.Fset, l.fallback = testImporter.fset, testImporter.fallback
 	return l
 }
 

@@ -237,11 +237,10 @@ func TestMeasureJacobiVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestMeasureJacobiStatsOutliveFree: MeasureJacobi's stats hold rank 0's
-// checksum, not its tile, so overwriting every recycled slab after the
-// world is freed leaves the checksum unchanged.
+// TestMeasureJacobiStatsOutliveFree: MeasureJacobi's stats outlive the
+// world they were measured in: device buffers allocated and overwritten
+// by a later world leave rank 0's checksum unchanged.
 func TestMeasureJacobiStatsOutliveFree(t *testing.T) {
-	// A tile size no other test allocates.
 	cfg := jacobi.Config{PX: 2, PY: 2, NX: 23, NY: 19, Iters: 3}
 	topo := cluster.OneNodeGH200()
 	want := jacobi.Reference(cfg)[0]
@@ -255,7 +254,7 @@ func TestMeasureJacobiStatsOutliveFree(t *testing.T) {
 			}
 		}
 		if got := st.Checksum(); got != want {
-			t.Fatalf("checksum after Free = %v, want %v", got, want)
+			t.Fatalf("checksum after a later world = %v, want %v", got, want)
 		}
 	}
 }

@@ -16,24 +16,41 @@ const JacobiBaseTile = 32
 // JacobiIters is the number of sweeps per measurement.
 const JacobiIters = 4
 
-// MeasureJacobi runs one Jacobi variant SPMD and returns rank 0's stats,
-// resolved: only rank 0's tile is summed, inside the SPMD body, before
-// World.Free recycles the slab.
+// MeasureJacobi runs one Jacobi variant SPMD on a full-payload world and
+// returns rank 0's stats (Checksum included).
 func MeasureJacobi(topo cluster.Topology, cfg jacobi.Config,
 	variant func(r *mpi.Rank, cfg jacobi.Config) jacobi.Stats) jacobi.Stats {
-	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-	defer w.Free()
+	return jacobiOn(measureWorld(topo, cluster.DefaultModel(), false), cfg, variant)
+}
+
+// jacobiOn runs one Jacobi variant SPMD on w and returns rank 0's stats.
+func jacobiOn(w *mpi.World, cfg jacobi.Config,
+	variant func(r *mpi.Rank, cfg jacobi.Config) jacobi.Stats) jacobi.Stats {
 	var out jacobi.Stats
 	w.Spawn(func(r *mpi.Rank) {
 		st := variant(r, cfg)
 		if r.ID == 0 {
-			out = st.Resolved()
+			out = st
 		}
 	})
 	if err := w.Run(); err != nil {
 		panic(err)
 	}
 	return out
+}
+
+// jacobiMetrics runs one Jacobi variant on w and returns the catalog
+// point's metrics. The checksum is rank 0's tile sum; a timing-only world
+// computes no tile, so it takes the value from jacobi.ConeChecksum, which
+// is bit-identical to what a full-payload run of the point sums.
+func jacobiMetrics(w *mpi.World, cfg jacobi.Config,
+	variant func(r *mpi.Rank, cfg jacobi.Config) jacobi.Stats) runner.Metrics {
+	st := jacobiOn(w, cfg, variant)
+	sum := st.Checksum()
+	if w.K.TimingOnly() {
+		sum = jacobi.ConeChecksum(cfg)
+	}
+	return runner.Metrics{"gflops": st.GFLOPs, "checksum": sum}
 }
 
 // jacobiVariant resolves a variant name to its SPMD body.
@@ -48,16 +65,15 @@ func jacobiVariant(name string) func(r *mpi.Rank, cfg jacobi.Config) jacobi.Stat
 	}
 }
 
-// JacobiPoint declares one Jacobi measurement; variant is "traditional" or
-// "partitioned".
+// JacobiPoint declares one timing-only Jacobi measurement; variant is
+// "traditional" or "partitioned".
 func JacobiPoint(id string, topo cluster.Topology, cfg jacobi.Config, variant string) runner.Point {
 	v := jacobiVariant(variant)
 	return runner.Point{
 		ID:  id,
 		Key: runner.KeyOf("jacobi", topo, cluster.DefaultModel(), cfg, variant),
 		Run: func() runner.Metrics {
-			st := MeasureJacobi(topo, cfg, v)
-			return runner.Metrics{"gflops": st.GFLOPs, "checksum": st.Checksum()}
+			return jacobiMetrics(measureWorld(topo, cluster.DefaultModel(), true), cfg, v)
 		},
 	}
 }
@@ -119,9 +135,7 @@ const DLSteps = 3
 // returns rank 0's stats (WeightSum included; see dlOn).
 func MeasureDL(topo cluster.Topology, cfg dl.Config,
 	variant func(r *mpi.Rank, comm *nccl.Comm, cfg dl.Config) dl.Stats) dl.Stats {
-	w := measureWorld(topo, cluster.DefaultModel(), false)
-	defer w.Free()
-	return dlOn(w, cfg, variant)
+	return dlOn(measureWorld(topo, cluster.DefaultModel(), false), cfg, variant)
 }
 
 // dlOn runs one deep-learning variant SPMD on w and returns rank 0's stats.
@@ -163,9 +177,7 @@ func DLPoint(id string, topo cluster.Topology, cfg dl.Config, variant string) ru
 		ID:  id,
 		Key: runner.KeyOf("dl", topo, cluster.DefaultModel(), cfg, variant),
 		Run: func() runner.Metrics {
-			w := measureWorld(topo, cluster.DefaultModel(), true)
-			defer w.Free()
-			st := dlOn(w, cfg, v)
+			st := dlOn(measureWorld(topo, cluster.DefaultModel(), true), cfg, v)
 			return runner.Metrics{"step_ns": float64(st.StepTime)}
 		},
 	}

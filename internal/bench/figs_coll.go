@@ -75,7 +75,6 @@ type allreduceOn func(w *mpi.World, cfg AllreduceConfig) sim.Duration
 // time, which buffer contents cannot change (payload_test.go).
 func measureAllreduce(cfg AllreduceConfig, on allreduceOn) sim.Duration {
 	w := measureWorld(cfg.Topo, cfg.model(), true)
-	defer w.Free()
 	return on(w, cfg)
 }
 
@@ -251,7 +250,6 @@ func Fig7(maxGrid int) *Table { return RunJob(defaultRunner, Fig7Job(maxGrid)) }
 // overheads.
 func tableIMeasure(model cluster.Model) (initSend, initColl, prequest, prepFirst, prepAvg sim.Duration) {
 	w := mpi.NewWorld(cluster.OneNodeGH200(), model, 1)
-	defer w.Free()
 	const epochs = 100
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()

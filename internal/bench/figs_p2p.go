@@ -22,7 +22,6 @@ func vecAddSpec(grid int) gpu.KernelSpec {
 // synchronize at one grid size on a single-GPU world.
 func fig2Measure(m cluster.Model, g int) (syncCost, total sim.Duration) {
 	w := mpi.NewWorld(cluster.Topology{Nodes: 1, GPUsPerNode: 1}, m, 1)
-	defer w.Free()
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
 		t0 := p.Now()
@@ -154,7 +153,6 @@ func fig3Measure(model cluster.Model, level string, threads int) sim.Duration {
 	}
 	var cost sim.Duration
 	w := mpi.NewWorld(cluster.OneNodeGH200(), model, 1)
-	defer w.Free()
 	m := w.Model
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
@@ -241,7 +239,6 @@ func PartitionedPoint(id string, cfg P2PConfig, mech core.Mechanism) runner.Poin
 // traditionalOn.
 func MeasureTraditional(cfg P2PConfig) sim.Duration {
 	w := measureWorld(cfg.Topo, cfg.model(), true)
-	defer w.Free()
 	return traditionalOn(w, cfg)
 }
 
@@ -309,7 +306,6 @@ func (c P2PConfig) Validate() error {
 // a timing-only world; see partitionedOn.
 func MeasurePartitioned(cfg P2PConfig, mech core.Mechanism) sim.Duration {
 	w := measureWorld(cfg.Topo, cfg.model(), true)
-	defer w.Free()
 	return partitionedOn(w, cfg, mech)
 }
 

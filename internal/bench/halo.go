@@ -91,7 +91,6 @@ func MeasureHaloTraditional(cfg HaloConfig) sim.Duration {
 	cfg = cfg.withDefaults()
 	var elapsed sim.Duration
 	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
-	defer w.Free()
 	P := w.Size()
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
@@ -143,7 +142,6 @@ func MeasureHaloPartitioned(cfg HaloConfig) sim.Duration {
 	cfg = cfg.withDefaults()
 	var elapsed sim.Duration
 	w := mpi.NewWorld(cfg.Topo, cfg.model(), 1)
-	defer w.Free()
 	P := w.Size()
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()

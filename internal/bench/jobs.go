@@ -59,9 +59,11 @@ func elapsedPoint(id, key string, measure func() float64) runner.Point {
 }
 
 // measureWorld builds the world of one measurement. Measurements whose
-// results are pure virtual time pass timingOnly (sim.Kernel.SetTimingOnly),
-// which skips all payload arithmetic and copies; MeasureDL keeps full
-// payload because its callers read the computed WeightSum.
+// results need no computed payload pass timingOnly (sim.Kernel.SetTimingOnly),
+// which skips all payload arithmetic and copies: every catalog point,
+// Jacobi's included, whose checksum comes from jacobi.ConeChecksum.
+// MeasureDL and MeasureJacobi keep full payload because their callers read
+// the computed WeightSum and Checksum.
 func measureWorld(topo cluster.Topology, m cluster.Model, timingOnly bool) *mpi.World {
 	w := mpi.NewWorld(topo, m, 1)
 	if timingOnly {

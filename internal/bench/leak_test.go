@@ -74,7 +74,6 @@ func TestCollectivesRunOnRankProcsOnly(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := measureWorld(cluster.OneNodeGH200(), cluster.DefaultModel(), true)
-			defer w.Free()
 			run := tc.collective(w)
 			after := make([]int, w.Size())
 			var exits []int

@@ -20,7 +20,6 @@ import (
 func Pingpong(topo cluster.Topology, peer, n, iters int) sim.Duration {
 	var total sim.Duration
 	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-	defer w.Free()
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
 		buf := r.Dev.Alloc(n)
@@ -54,7 +53,6 @@ func Pingpong(topo cluster.Topology, peer, n, iters int) sim.Duration {
 func Bandwidth(topo cluster.Topology, peer, n, window, iters int) float64 {
 	var elapsed sim.Duration
 	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-	defer w.Free()
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
 		bufs := make([][]float64, window)
@@ -105,7 +103,6 @@ func Bandwidth(topo cluster.Topology, peer, n, window, iters int) float64 {
 func BiBandwidth(topo cluster.Topology, peer, n, window, iters int) float64 {
 	var elapsed sim.Duration
 	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-	defer w.Free()
 	run := func(r *mpi.Rank, other int) {
 		p := r.Proc()
 		sbufs := make([][]float64, window)
@@ -160,7 +157,6 @@ func BiBandwidth(topo cluster.Topology, peer, n, window, iters int) float64 {
 func PartitionedLatency(topo cluster.Topology, peer, n, parts, iters int) sim.Duration {
 	var total sim.Duration
 	w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-	defer w.Free()
 	w.Spawn(func(r *mpi.Rank) {
 		p := r.Proc()
 		buf := r.Dev.Alloc(n)

@@ -7,6 +7,7 @@ import (
 	"mpipart/internal/core"
 	"mpipart/internal/dl"
 	"mpipart/internal/gpu"
+	"mpipart/internal/jacobi"
 	"mpipart/internal/mpi"
 	"mpipart/internal/runner"
 	"mpipart/internal/sim"
@@ -15,6 +16,10 @@ import (
 // payloadGrids are the grids the payload-mode tests cover in the
 // collective timing-only families (Figs. 6/7 and 10/11).
 var payloadGrids = []int{128, 256}
+
+// jacobiMaxMult is the largest tile multiplier the payload-mode tests cover
+// in the Jacobi family (Figs. 8/9): the catalog's whole sweep.
+const jacobiMaxMult = 32
 
 // p2pPayloadGrids are the grids they cover in the point-to-point family
 // (Figs. 4/5): one block, and a grid Fig. 5 splits into two partitions.
@@ -81,6 +86,21 @@ func payloadCases() []payloadCase {
 			}
 		}
 	}
+	for _, ft := range []figTopo{
+		{"fig8", cluster.OneNodeGH200()}, {"fig9", cluster.TwoNodeGH200()},
+	} {
+		px, py := jacobi.Decompose(ft.topo.TotalGPUs())
+		for mult := 1; mult <= jacobiMaxMult; mult *= 2 {
+			tile := JacobiBaseTile * mult
+			cfg := jacobi.Config{PX: px, PY: py, NX: tile, NY: tile, Iters: JacobiIters}
+			for _, name := range []string{"traditional", "partitioned"} {
+				v := jacobiVariant(name)
+				cs = append(cs, payloadCase{ft.fig + "/mult=" + itoa(mult) + "/" + name, ft.topo, func(w *mpi.World) runner.Metrics {
+					return jacobiMetrics(w, cfg, v)
+				}})
+			}
+		}
+	}
 	return cs
 }
 
@@ -93,7 +113,9 @@ func partitionedOnWith(mech core.Mechanism) func(w *mpi.World, cfg P2PConfig) si
 // for every variant of the timing-only families, a full-payload world and a
 // timing-only world must report identical metrics and run identical
 // schedules (per-kernel dispatch and elision counts). A difference would
-// mean some virtual time depends on buffer contents.
+// mean some virtual time depends on buffer contents. For the Jacobi points
+// the identical metrics include the checksum: the full-payload run sums
+// rank 0's computed tile, the timing-only one takes jacobi.ConeChecksum.
 func TestTimingOnlyMatchesFullPayload(t *testing.T) {
 	for _, c := range payloadCases() {
 		var ms [2]runner.Metrics
@@ -101,7 +123,6 @@ func TestTimingOnlyMatchesFullPayload(t *testing.T) {
 		for i, timingOnly := range []bool{false, true} {
 			w := measureWorld(c.topo, cluster.DefaultModel(), timingOnly)
 			ms[i] = c.run(w)
-			w.Free()
 			dispatched[i], elided[i] = w.K.Dispatched(), w.K.Elided()
 		}
 		if !ms[0].Equal(ms[1]) {
@@ -132,6 +153,7 @@ func TestTimingOnlyPointsLeaveBackingZero(t *testing.T) {
 	for _, j := range []Job{
 		Fig4Job(p2pMaxGrid), Fig5Job(p2pMaxGrid),
 		Fig6Job(maxGrid), Fig7Job(maxGrid), Fig10Job(maxGrid), Fig11Job(maxGrid),
+		Fig8Job(jacobiMaxMult), Fig9Job(jacobiMaxMult),
 	} {
 		pts = append(pts, j.Points...)
 	}

@@ -23,20 +23,6 @@ import (
 	"mpipart/internal/sim"
 )
 
-// slabPool recycles device allocations across simulated worlds. A fresh
-// make() of a multi-megabyte buffer pays a soft page fault on first touch
-// of every page — roughly 3x the cost of reusing warm memory and clearing
-// it explicitly — and the benchmark harness builds and discards dozens of
-// worlds, each re-faulting the same working set. Recycling is strictly
-// opt-in via Device.Release: memory returns to the pool only when the
-// owner declares the world's buffers dead, so code that never calls
-// Release (tests that read buffers after Kernel.Run) keeps today's
-// fresh-allocation semantics.
-var slabPool struct {
-	sync.Mutex
-	bySize map[int][][]float64
-}
-
 // lengthOnly is the shared backing of every timing-only buffer: one
 // zeroed array, grown to the largest length requested and never written.
 // Timing-only worlds (sim.Kernel.SetTimingOnly) skip every payload write,
@@ -72,10 +58,6 @@ type Device struct {
 
 	streams []*Stream
 
-	// allocs tracks every buffer handed out by Alloc so Release can
-	// recycle them.
-	allocs [][]float64
-
 	// smBusyUntil serializes kernel waves across all of the device's
 	// streams: the workloads here launch full-occupancy kernels, so two
 	// concurrent kernels time-share the SMs wave by wave rather than
@@ -103,60 +85,12 @@ func NewDevice(k *sim.Kernel, m *cluster.Model, f *fabric.Fabric, id int) *Devic
 // Alloc allocates device global memory of n float64 elements, zeroed like
 // cudaMalloc followed by cudaMemset. Allocation time is not modeled
 // (cudaMalloc happens at setup, outside every timed region in the paper).
-// Buffers come from the global recycling pool when an exact-size slab is
-// available, else from make; either way Alloc clears every element, so
-// each page is written, and faulted in, once here rather than mapped to
-// the shared zero page by a first read and faulted again by the first
-// write. A timing-only world gets a LengthOnly buffer instead, which never
-// enters the pool.
+// A timing-only world gets a LengthOnly buffer instead.
 func (d *Device) Alloc(n int) []float64 {
-	buf := d.AllocUncleared(n)
-	if !d.K.TimingOnly() {
-		clear(buf)
-	}
-	return buf
-}
-
-// AllocUncleared is Alloc without the clear (cudaMalloc without
-// cudaMemset): the contents are undefined, possibly a released slab's old
-// values, so it is only for buffers the caller fully overwrites before
-// any read.
-func (d *Device) AllocUncleared(n int) []float64 {
 	if d.K.TimingOnly() {
 		return LengthOnly(n)
 	}
-	var buf []float64
-	slabPool.Lock()
-	if slabs := slabPool.bySize[n]; len(slabs) > 0 {
-		buf = slabs[len(slabs)-1]
-		slabPool.bySize[n] = slabs[:len(slabs)-1]
-	}
-	slabPool.Unlock()
-	if buf == nil {
-		buf = make([]float64, n)
-	}
-	d.allocs = append(d.allocs, buf)
-	return buf
-}
-
-// Release returns every buffer this device ever Alloc'd to the global
-// recycling pool. Call it only when the world is finished AND no caller
-// retains a reference to any device buffer (the bench harness does, after
-// extracting scalar metrics); after Release the buffers' contents are
-// undefined.
-func (d *Device) Release() {
-	if len(d.allocs) == 0 {
-		return
-	}
-	slabPool.Lock()
-	if slabPool.bySize == nil {
-		slabPool.bySize = make(map[int][][]float64)
-	}
-	for _, buf := range d.allocs {
-		slabPool.bySize[len(buf)] = append(slabPool.bySize[len(buf)], buf)
-	}
-	slabPool.Unlock()
-	d.allocs = nil
+	return make([]float64, n)
 }
 
 // MemcpyH2D performs a blocking host→device copy of the given byte size,

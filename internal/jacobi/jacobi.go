@@ -19,6 +19,7 @@ package jacobi
 
 import (
 	"fmt"
+	"math"
 
 	"mpipart/internal/core"
 	"mpipart/internal/gpu"
@@ -79,35 +80,25 @@ func (c Config) Validate(P int) error {
 // Stats reports one rank's timing and its final tile, whose sum Checksum
 // computes on demand: a caller that reads one rank's checksum sums one
 // tile, not one per rank.
-//
-// The tile is the rank's device buffer, valid only until the world's
-// devices are released (mpi.World.Free recycles it): read Checksum before
-// then, or keep the Stats that Resolved returns, which holds the sum and no
-// tile.
 type Stats struct {
 	Elapsed sim.Duration
 	GFLOPs  float64 // virtual GFLOP/s across the whole world
 
-	tile []float64 // the rank's final tile; nil once resolved
-	sum  float64   // the tile's sum once resolved
+	tile []float64 // the rank's final tile; nil in a timing-only world
 }
 
-// Checksum returns the sum of the rank's final tile (for verification).
+// Checksum returns the sum of the rank's final tile (for verification),
+// or NaN in a timing-only world, which computes no tile (ConeChecksum
+// gives rank 0's value without a distributed run).
 func (s Stats) Checksum() float64 {
 	if s.tile == nil {
-		return s.sum
+		return math.NaN()
 	}
 	sum := 0.0
 	for _, v := range s.tile {
 		sum += v
 	}
 	return sum
-}
-
-// Resolved returns s with the checksum computed and the tile dropped, so
-// it stays valid after the world's devices are released.
-func (s Stats) Resolved() Stats {
-	return Stats{Elapsed: s.Elapsed, GFLOPs: s.GFLOPs, sum: s.Checksum()}
 }
 
 // state holds one rank's tile and halo storage.
@@ -117,6 +108,10 @@ type state struct {
 	px, py int // this rank's tile coordinates
 
 	a, anew []float64 // tile interiors, ny*nx row-major
+
+	// timingOnly mirrors the world's payload mode: no boundary, kernels
+	// that only fire their Pready hooks, no tile to sum.
+	timingOnly bool
 
 	// Receive halos (what neighbours computed last iteration), duplicated
 	// per iteration parity: iteration k's kernel reads set (k+1)%2 while
@@ -134,11 +129,12 @@ func newState(r *mpi.Rank, cfg Config) *state {
 	s := &state{
 		r: r, cfg: cfg,
 		px: r.ID % cfg.PX, py: r.ID / cfg.PX,
-		a: r.Dev.Alloc(cfg.NX * cfg.NY),
-		// Every sweep writes all of anew before anything reads it.
-		anew:  r.Dev.AllocUncleared(cfg.NX * cfg.NY),
+		a:     r.Dev.Alloc(cfg.NX * cfg.NY),
+		anew:  r.Dev.Alloc(cfg.NX * cfg.NY),
 		packN: r.Dev.Alloc(cfg.NX), packS: r.Dev.Alloc(cfg.NX),
 		packW: r.Dev.Alloc(cfg.NY), packE: r.Dev.Alloc(cfg.NY),
+
+		timingOnly: r.W.K.TimingOnly(),
 	}
 	for par := 0; par < 2; par++ {
 		s.haloN[par] = r.Dev.Alloc(cfg.NX)
@@ -146,7 +142,9 @@ func newState(r *mpi.Rank, cfg Config) *state {
 		s.haloW[par] = r.Dev.Alloc(cfg.NY)
 		s.haloE[par] = r.Dev.Alloc(cfg.NY)
 	}
-	s.initBoundary()
+	if !s.timingOnly {
+		s.initBoundary()
+	}
 	s.selectHalos(1) // iteration 0 reads the pre-initialized set 1
 	return s
 }
@@ -170,7 +168,7 @@ func (s *state) neighbour(dx, dy int) int {
 // initBoundary sets the Dirichlet condition: the global top edge is held
 // at 1. Halo buffers covering the physical boundary hold the boundary value
 // permanently. The initial guess is zero because gpu.Device.Alloc returns
-// zeroed buffers, fresh or recycled.
+// zeroed buffers.
 func (s *state) initBoundary() {
 	if s.py == 0 { // tile touches the global top edge
 		for par := 0; par < 2; par++ {
@@ -183,7 +181,8 @@ func (s *state) initBoundary() {
 
 // stencilSpec builds the sweep kernel: one block per tile row; each thread
 // strides across the row's columns. The body also packs boundary values for
-// the halo exchange, and (in the partitioned variant) signals readiness.
+// the halo exchange, and (in the partitioned variant) signals readiness. A
+// timing-only state's body only fires that signal.
 func (s *state) stencilSpec(onBlockDone func(b *gpu.BlockCtx, row int)) gpu.KernelSpec {
 	nx, ny := s.cfg.NX, s.cfg.NY
 	block := 256
@@ -191,43 +190,50 @@ func (s *state) stencilSpec(onBlockDone func(b *gpu.BlockCtx, row int)) gpu.Kern
 		block = nx
 	}
 	perThread := (nx + block - 1) / block
-	return gpu.KernelSpec{
+	spec := gpu.KernelSpec{
 		Name:     "jacobi-sweep",
 		Grid:     ny,
 		Block:    block,
 		WaveTime: s.r.W.Model.ScaledWaveTime(stencilOps * float64(perThread)),
-		Body: func(b *gpu.BlockCtx) {
-			row := b.Idx
-			base := row * nx
-			// Resolve the north/south neighbours once per row instead of
-			// switching inside at() four times per point; the sum order
-			// (west + east + north + south) matches at()-based code exactly,
-			// so results are bit-identical.
-			cur := s.a[base : base+nx : base+nx]
-			up := s.curN
-			if row > 0 {
-				up = s.a[base-nx : base : base]
-			}
-			down := s.curS
-			if row < ny-1 {
-				down = s.a[base+nx : base+2*nx]
-			}
-			out := s.anew[base : base+nx : base+nx]
-			stencilRow(out, cur, up, down, s.curW[row], s.curE[row])
-			// Pack boundary values for the halo exchange.
-			s.packW[row] = out[0]
-			s.packE[row] = out[nx-1]
-			if row == 0 {
-				copy(s.packN, s.anew[:nx])
-			}
-			if row == ny-1 {
-				copy(s.packS, s.anew[base:base+nx])
-			}
-			if onBlockDone != nil {
-				onBlockDone(b, row)
-			}
-		},
 	}
+	if s.timingOnly {
+		if onBlockDone != nil {
+			spec.Body = func(b *gpu.BlockCtx) { onBlockDone(b, b.Idx) }
+		}
+		return spec
+	}
+	spec.Body = func(b *gpu.BlockCtx) {
+		row := b.Idx
+		base := row * nx
+		// Resolve the north/south neighbours once per row instead of
+		// switching inside at() four times per point; the sum order
+		// (west + east + north + south) matches at()-based code exactly,
+		// so results are bit-identical.
+		cur := s.a[base : base+nx : base+nx]
+		up := s.curN
+		if row > 0 {
+			up = s.a[base-nx : base : base]
+		}
+		down := s.curS
+		if row < ny-1 {
+			down = s.a[base+nx : base+2*nx]
+		}
+		out := s.anew[base : base+nx : base+nx]
+		stencilRow(out, cur, up, down, s.curW[row], s.curE[row])
+		// Pack boundary values for the halo exchange.
+		s.packW[row] = out[0]
+		s.packE[row] = out[nx-1]
+		if row == 0 {
+			copy(s.packN, s.anew[:nx])
+		}
+		if row == ny-1 {
+			copy(s.packS, s.anew[base:base+nx])
+		}
+		if onBlockDone != nil {
+			onBlockDone(b, row)
+		}
+	}
+	return spec
 }
 
 // stencilRow computes one tile row: out[x] = 0.25 * (W + E + N + S) of
@@ -263,11 +269,11 @@ func (s *state) swap() { s.a, s.anew = s.anew, s.a }
 func (s *state) stats(elapsed sim.Duration) Stats {
 	points := float64(s.cfg.NX*s.cfg.NY) * float64(s.cfg.PX*s.cfg.PY)
 	flops := points * FlopsPerPoint * float64(s.cfg.Iters)
-	return Stats{
-		Elapsed: elapsed,
-		GFLOPs:  flops / elapsed.Seconds() / 1e9,
-		tile:    s.a,
+	st := Stats{Elapsed: elapsed, GFLOPs: flops / elapsed.Seconds() / 1e9}
+	if !s.timingOnly {
+		st.tile = s.a
 	}
+	return st
 }
 
 // sideTag gives each halo direction (and iteration parity) a distinct tag.
@@ -289,7 +295,7 @@ func Traditional(r *mpi.Rank, cfg Config) Stats {
 	p := r.Proc()
 	s := newState(r, cfg)
 	s.selectHalos(0)
-	if s.py == 0 {
+	if s.py == 0 && !s.timingOnly {
 		// Set 0 carries the boundary too for the single-set variant.
 		copy(s.haloN[0], s.haloN[1])
 	}
@@ -513,4 +519,48 @@ func Reference(cfg Config) []float64 {
 		}
 	}
 	return sums
+}
+
+// ConeChecksum returns rank 0's tile checksum, Reference(cfg)[0], without
+// sweeping the whole global grid. After Iters sweeps a point depends only
+// on points within Iters of it, so the corner crop reaching Iters past
+// rank 0's tile (clamped to the global grid) evolves rank 0's points
+// exactly as the full grid does: the crop's own east and south edges,
+// held at 0, are more than Iters from every point of the tile. Rows run
+// through stencilRow with a ones row above (the global top edge) and a
+// zeros row below, so every point is the same expression as in Reference,
+// and the tile is summed in Reference's row-major order: the result is
+// bit-identical.
+func ConeChecksum(cfg Config) float64 {
+	cx := min(cfg.PX*cfg.NX, cfg.NX+cfg.Iters)
+	cy := min(cfg.PY*cfg.NY, cfg.NY+cfg.Iters)
+	a := make([]float64, cx*cy)
+	anew := make([]float64, cx*cy)
+	ones := make([]float64, cx)
+	for i := range ones {
+		ones[i] = 1
+	}
+	zeros := make([]float64, cx)
+	for it := 0; it < cfg.Iters; it++ {
+		for y := 0; y < cy; y++ {
+			base := y * cx
+			up := ones
+			if y > 0 {
+				up = a[base-cx : base]
+			}
+			down := zeros
+			if y < cy-1 {
+				down = a[base+cx : base+2*cx]
+			}
+			stencilRow(anew[base:base+cx], a[base:base+cx], up, down, 0, 0)
+		}
+		a, anew = anew, a
+	}
+	sum := 0.0
+	for y := 0; y < cfg.NY; y++ {
+		for _, v := range a[y*cx : y*cx+cfg.NX] {
+			sum += v
+		}
+	}
+	return sum
 }

@@ -224,32 +224,39 @@ func TestOddTileMatchesReferenceExactly(t *testing.T) {
 	requireReference(t, cluster.OneNodeGH200(), Config{PX: 2, PY: 2, NX: 33, NY: 37, Iters: 5})
 }
 
-// TestPoisonedPoolMatchesReference fills the slab pool with NaN slabs of
-// the tile, row and column sizes before each run. Alloc must clear them;
-// anew, allocated without a clear, must be written before any read. A NaN
-// that leaks into any computed point makes the checksum NaN.
-func TestPoisonedPoolMatchesReference(t *testing.T) {
-	// Sizes no other test in this package allocates, so the poisoned
-	// slabs are the ones these runs draw.
-	cfg := Config{PX: 2, PY: 2, NX: 29, NY: 31, Iters: 3}
-	topo := cluster.OneNodeGH200()
-	for _, v := range variants {
-		w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-		d := w.Rank(0).Dev
-		for i := 0; i < 4*w.Size(); i++ {
-			for _, n := range []int{cfg.NX * cfg.NY, cfg.NX, cfg.NY} {
-				buf := d.Alloc(n)
-				for j := range buf {
-					buf[j] = math.NaN()
+// TestConeChecksumMatchesReference: rank 0's checksum from the dependency
+// cone is bit-identical to the full sequential sweep, across the paper's
+// decompositions, odd and non-square tiles, and iteration counts up to and
+// past the tile edge, where the crop clamps to the global grid.
+func TestConeChecksumMatchesReference(t *testing.T) {
+	for _, d := range []struct{ px, py int }{{1, 1}, {2, 1}, {2, 2}, {4, 2}} {
+		for _, tile := range []struct{ nx, ny int }{{3, 3}, {5, 4}, {7, 11}, {16, 9}} {
+			for _, iters := range []int{1, 2, 4, 7, 13, 25} {
+				cfg := Config{PX: d.px, PY: d.py, NX: tile.nx, NY: tile.ny, Iters: iters}
+				want := Reference(cfg)[0]
+				if got := ConeChecksum(cfg); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%+v: ConeChecksum = %v, Reference = %v", cfg, got, want)
 				}
 			}
 		}
-		w.Free()
-		want := Reference(cfg)
-		got, _ := run(t, topo, cfg, v.fn)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s rank %d checksum = %v, want %v", v.name, i, got[i], want[i])
+	}
+}
+
+// TestTimingOnlyChecksumIsNaN: a timing-only world computes no tile, so
+// every rank's checksum is NaN rather than the sum of the zero backing.
+func TestTimingOnlyChecksumIsNaN(t *testing.T) {
+	cfg := Config{PX: 2, PY: 2, NX: 8, NY: 8, Iters: 2}
+	for _, v := range variants {
+		w := mpi.NewWorld(cluster.OneNodeGH200(), cluster.DefaultModel(), 1)
+		w.K.SetTimingOnly()
+		sums := make([]float64, w.Size())
+		w.Spawn(func(r *mpi.Rank) { sums[r.ID] = v.fn(r, cfg).Checksum() })
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for id, sum := range sums {
+			if !math.IsNaN(sum) {
+				t.Errorf("%s rank %d: timing-only checksum %v, want NaN", v.name, id, sum)
 			}
 		}
 	}

@@ -125,18 +125,6 @@ func (w *World) Spawn(main func(r *Rank)) {
 // Run executes the simulation to completion.
 func (w *World) Run() error { return w.K.Run() }
 
-// Free recycles every device buffer of every rank into the global slab
-// pool. Call it only after Run, once all results have been copied out of
-// device memory into scalars — the bench harness does this between
-// measurement points so successive worlds reuse warm pages instead of
-// re-faulting hundreds of megabytes. Tests that inspect device buffers
-// after Run simply never call Free.
-func (w *World) Free() {
-	for _, r := range w.ranks {
-		r.Dev.Release()
-	}
-}
-
 // Proc returns the rank's host process. Rank methods must be called from it.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
