@@ -1,80 +1,74 @@
-// Package store persists sweep results on disk, content-addressed by the
-// runner's sha256 memoization key. It is the durable second level behind
-// the in-memory memo map (runner.Store): one JSON file per key under a
-// store root, written atomically via a temp file + rename, so readers —
-// including concurrent processes sharing the root — only ever observe a
-// complete entry or none at all.
-//
-// Every entry embeds the key schema version (runner.KeySchema) and its own
-// full key. Reads verify both, and any failure — absent file, truncated or
-// garbage payload, schema or key mismatch — degrades to a miss, never to an
-// error: a corrupt store can only cost recomputation, it can never serve a
-// wrong or stale result. Bumping runner.KeySchema moves every key to a new
-// per-version directory and changes the hash preamble, so entries from
-// older cost models or key layouts are unreachable twice over.
+// Package store persists sweep results behind the runner's memo map,
+// content-addressed by memoization key, in one append-only log per key
+// schema: <root>/v<KeySchema>/log.jsonl, one JSON line per save, where the
+// last line for a key wins. Any number of goroutines and processes may share
+// a root. Every line embeds its key schema and full key, and every read
+// re-checks both: any failure (absent key, torn or garbage line, stale
+// offset, schema or key mismatch) is a miss, never an error and never a wrong
+// or stale result. A schema bump starts a new log and changes every key.
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"mpipart/internal/runner"
 )
 
-// entry is the on-disk JSON form of one stored result.
+// entry is one log line; a read re-checks its Schema and Key.
 type entry struct {
-	// Schema is the runner.KeySchema the entry was written under. A reader
-	// at any other schema treats the entry as a miss.
-	Schema int `json:"schema"`
-	// Key is the full memoization key, repeated inside the payload so an
-	// entry that was copied or renamed to the wrong path is rejected.
+	Schema  int            `json:"schema"`
 	Key     string         `json:"key"`
 	Metrics runner.Metrics `json:"metrics"`
 }
 
-// Stats are the store's operation counters.
+// Stats are the store's operation counters. Corrupt counts the Misses on an
+// unreadable or invalid indexed line; a SaveError loses only persistence.
 type Stats struct {
-	// Hits / Misses split Load calls; a miss includes absent, corrupt and
-	// wrong-schema entries (Corrupt counts the latter two separately).
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
-	// Corrupt counts Load misses caused by an unreadable or invalid entry
-	// file (truncated write, garbage payload, schema or key mismatch).
-	Corrupt int `json:"corrupt"`
-	// Saves counts successful writes; SaveErrors counts writes the store
-	// swallowed (full disk, permissions) — the result was still returned
-	// to the caller, only persistence was lost.
+	Hits       int `json:"hits"`
+	Misses     int `json:"misses"`
+	Corrupt    int `json:"corrupt"`
 	Saves      int `json:"saves"`
 	SaveErrors int `json:"save_errors"`
 }
 
-// DiskStore is a content-addressed result store rooted at a directory. It
-// implements runner.Store and is safe for concurrent use by any number of
-// goroutines and processes sharing the root.
-//
-// Concurrency contract: file I/O relies on atomic write-rename and needs no
-// lock; the stats ledger is mutated only through count() under mu, and
-// Stats() copies it under the same lock. Checked statically by
-// mpivet/racelock and dynamically by TestStatsConcurrentInvariant under
-// -race.
+// DiskStore implements runner.Store over a root directory, safe for concurrent
+// use by goroutines and processes. Concurrency contract: flock(LOCK_EX) orders
+// appends across processes and handles; mu orders this handle's goroutines,
+// which share one flock. The index, its end and the stats change only under
+// mu (mpivet/racelock, TestStatsConcurrentInvariant, TestMultiProcessWriters).
 type DiskStore struct {
 	root string
+	log  *os.File // opened O_APPEND, kept open for the process's lifetime
+	seed maphash.Seed
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// index maps key hashes to the offset of each key's last line; colliding
+	// keys read each other's lines, which the key re-check makes misses.
+	index map[uint64]int64
+	end   int64 // the log is indexed up to here, a line boundary
 	stats Stats
 }
 
-// Open returns a DiskStore rooted at dir, creating the per-schema
-// directory if needed.
+// Open returns a DiskStore rooted at dir, creating the per-schema directory
+// and its log if needed. The first lookup indexes the log.
 func Open(dir string) (*DiskStore, error) {
-	s := &DiskStore{root: dir}
-	if err := os.MkdirAll(s.versionDir(), 0o755); err != nil {
+	vdir := filepath.Join(dir, fmt.Sprintf("v%d", runner.KeySchema))
+	if err := os.MkdirAll(vdir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return s, nil
+	f, err := os.OpenFile(filepath.Join(vdir, "log.jsonl"), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return &DiskStore{root: dir, log: f, seed: maphash.MakeSeed(), index: map[uint64]int64{}}, nil
 }
 
 // Root returns the store's root directory.
@@ -87,89 +81,94 @@ func (s *DiskStore) Stats() Stats {
 	return s.stats
 }
 
-// versionDir is the per-key-schema directory: entries from different
-// schemas never share paths, so a schema bump starts from an empty
-// namespace even on a reused root.
-func (s *DiskStore) versionDir() string {
-	return filepath.Join(s.root, fmt.Sprintf("v%d", runner.KeySchema))
-}
-
-// pathFor maps a key to its entry file, sharded by the first key byte to
-// keep directory sizes bounded on large sweeps.
-func (s *DiskStore) pathFor(key string) string {
-	shard := "xx"
-	if len(key) >= 2 {
-		shard = key[:2]
-	}
-	return filepath.Join(s.versionDir(), shard, key+".json")
-}
-
-// Load implements runner.Store: it returns the metrics stored under key,
-// or ok=false on any miss — absent entry, unreadable file, corrupt JSON,
-// schema or key mismatch. It never returns an error; a broken entry is
-// indistinguishable from a cold one, by design.
-func (s *DiskStore) Load(key string) (runner.Metrics, bool) {
-	raw, err := os.ReadFile(s.pathFor(key))
+// catchUp indexes the lines past s.end, skipping any that names no key, and
+// returns the log size; bytes no newline ends yet (a line in flight, a torn
+// tail) wait. A log shorter than s.end was truncated. The caller holds mu.
+func (s *DiskStore) catchUp() (int64, error) {
+	size, err := s.log.Seek(0, io.SeekEnd) // O_APPEND writes ignore the offset
 	if err != nil {
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, false
+		return 0, err
 	}
+	if size < s.end {
+		s.index, s.end = map[uint64]int64{}, 0
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(s.log, s.end, size-s.end), int(min(size-s.end, 64<<10)))
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			return size, nil // no newline ends what is left
+		} else if err != nil {
+			return 0, err
+		}
+		var h struct{ Key string }
+		if json.Unmarshal(line, &h) == nil && h.Key != "" {
+			s.index[maphash.String(s.seed, h.Key)] = s.end
+		}
+		s.end += int64(len(line))
+	}
+}
+
+// Load implements runner.Store, reading the log's tail for a key not indexed.
+func (s *DiskStore) Load(key string) (runner.Metrics, bool) {
+	h := maphash.String(s.seed, key)
+	s.mu.Lock()
+	off, ok := s.index[h]
+	if !ok {
+		_, _ = s.catchUp() // a failed refresh leaves a miss
+		if off, ok = s.index[h]; !ok {
+			s.stats.Misses++
+			s.mu.Unlock()
+			return nil, false
+		}
+	}
+	s.mu.Unlock()
 	var e entry
-	if err := json.Unmarshal(raw, &e); err != nil ||
-		e.Schema != runner.KeySchema || e.Key != key || e.Metrics == nil {
-		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
+	line, err := bufio.NewReaderSize(io.NewSectionReader(s.log, off, 1<<62), 512).ReadBytes('\n')
+	ok = err == nil && json.Unmarshal(line, &e) == nil &&
+		e.Schema == runner.KeySchema && e.Key == key && e.Metrics != nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !ok {
+		s.stats.Misses++
+		s.stats.Corrupt++
 		return nil, false
 	}
-	s.count(func(st *Stats) { st.Hits++ })
+	s.stats.Hits++
 	return e.Metrics, true
 }
 
-// Save implements runner.Store: it persists metrics under key atomically.
-// The entry is written to a temp file in the final directory and renamed
-// into place, so concurrent writers of the same key — even from different
-// processes — each install a complete entry and the last rename wins;
-// readers never see a partial file through this path. Errors are counted,
-// not returned: the computation already succeeded.
+// Save implements runner.Store: it appends metrics under key as one line.
+// Errors are counted, not returned: the computation already succeeded.
 func (s *DiskStore) Save(key string, m runner.Metrics) {
-	path := s.pathFor(key)
-	if err := s.write(path, key, m); err != nil {
-		s.count(func(st *Stats) { st.SaveErrors++ })
+	b, err := json.Marshal(entry{Schema: runner.KeySchema, Key: key, Metrics: m})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil || s.append(key, b) != nil {
+		s.stats.SaveErrors++
 		return
 	}
-	s.count(func(st *Stats) { st.Saves++ })
+	s.stats.Saves++
 }
 
-func (s *DiskStore) write(path, key string, m runner.Metrics) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// append catches the index up under flock, then writes b and a newline in
+// one write, after a torn tail a newline first. The caller holds mu.
+func (s *DiskStore) append(key string, b []byte) error {
+	fd := int(s.log.Fd())
+	if err := syscall.Flock(fd, syscall.LOCK_EX); err != nil {
 		return err
 	}
-	b, err := json.Marshal(entry{Schema: runner.KeySchema, Key: key, Metrics: m})
+	defer syscall.Flock(fd, syscall.LOCK_UN) // cannot fail on an open descriptor
+	size, err := s.catchUp()
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp-*")
-	if err != nil {
+	line, off := append(b, '\n'), size
+	if s.end < size {
+		line, off = append([]byte{'\n'}, line...), size+1
+	}
+	if _, err := s.log.Write(line); err != nil {
 		return err
 	}
-	tmp := f.Name()
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
+	s.index[maphash.String(s.seed, key)], s.end = off, size+int64(len(line))
 	return nil
-}
-
-func (s *DiskStore) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
 }

@@ -44,17 +44,49 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// logPath is the log of s's key schema.
+func logPath(s *DiskStore) string {
+	return filepath.Join(s.Root(), fmt.Sprintf("v%d", runner.KeySchema), "log.jsonl")
+}
+
+// appendRaw appends bytes to s's log behind the store's back, the way a
+// crashed writer or a hand edit would.
+func appendRaw(t *testing.T, s *DiskStore, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(logPath(s), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// entryLine is the log line Save writes for key and m.
+func entryLine(t *testing.T, schema int, key string, m runner.Metrics) string {
+	t.Helper()
+	b, err := json.Marshal(entry{Schema: schema, Key: key, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
+}
+
 func TestLoadToleratesTruncatedEntry(t *testing.T) {
 	s := open(t)
 	key := runner.KeyOf("truncated")
 	s.Save(key, runner.Metrics{"v": 1})
-	path := s.pathFor(key)
-	raw, err := os.ReadFile(path)
+	path := logPath(s)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A torn write: only a prefix of the entry reached the disk.
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	// A torn write: the log ends mid-line, as a crashed writer leaves it.
+	torn := fi.Size() / 2
+	if err := os.Truncate(path, torn); err != nil {
 		t.Fatal(err)
 	}
 	if m, ok := s.Load(key); ok {
@@ -63,64 +95,86 @@ func TestLoadToleratesTruncatedEntry(t *testing.T) {
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Fatalf("truncation not counted corrupt: %+v", st)
 	}
-	// Recompute-and-save heals the entry in place.
+	// A fresh handle never indexes the torn line: a plain miss.
+	fresh, err := Open(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := fresh.Load(key); ok || fresh.Stats().Corrupt != 0 {
+		t.Fatalf("torn line indexed: %v, %v, %+v", m, ok, fresh.Stats())
+	}
+	// Recompute-and-save heals the key: the writer ends the torn line with a
+	// newline of its own before appending its entry.
 	s.Save(key, runner.Metrics{"v": 2})
 	if m, ok := s.Load(key); !ok || m["v"] != 2 {
 		t.Fatalf("healed entry = %v, %v", m, ok)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := entryLine(t, runner.KeySchema, key, runner.Metrics{"v": 2}); string(raw[torn:]) != "\n"+want {
+		t.Fatalf("log after healing ends %q, want %q", raw[torn:], "\n"+want)
+	}
+	again, err := Open(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := again.Load(key); !ok || m["v"] != 2 || again.Stats().Corrupt != 0 {
+		t.Fatalf("healed log reopened: %v, %v, %+v", m, ok, again.Stats())
 	}
 }
 
 func TestLoadToleratesGarbage(t *testing.T) {
 	s := open(t)
-	key := runner.KeyOf("garbage")
-	path := s.pathFor(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	// Lines that name no key are skipped: a later entry still indexes, and
+	// the key they might have been is a plain miss.
+	for _, payload := range []string{"not json at all \x00\xff", `{"schema":`, `[1,2,3]`, `null`, ``} {
+		appendRaw(t, s, payload+"\n")
+	}
+	if m, ok := s.Load(runner.KeyOf("garbage", "unnamed")); ok {
+		t.Fatalf("garbage served as %v", m)
+	}
+	// Lines that name a key but hold no valid entry are a corrupt miss.
+	bad := []string{
+		`{"schema":%d,"key":%q}`, // no metrics
+		`{"schema":%d,"key":%q,"metrics":null}`,
+		`{"schema":%d,"key":%q,"metrics":[1,2,3]}`,
+		`{"schema":%d,"key":%q,"metrics":{"v":"x"}}`,
+		`{"schema":%d,"key":%q,"metrics":"v"}`,
+	}
+	for i, format := range bad {
+		key := runner.KeyOf("garbage", i)
+		appendRaw(t, s, fmt.Sprintf(format, runner.KeySchema, key)+"\n")
+		if m, ok := s.Load(key); ok {
+			t.Fatalf("garbage line %d served as %v", i, m)
+		}
+	}
+	if st := s.Stats(); st.Corrupt != len(bad) || st.Misses != len(bad)+1 {
+		t.Fatalf("stats = %+v, want %d corrupt of %d misses", st, len(bad), len(bad)+1)
+	}
+	// A fresh handle indexes the whole log past the garbage.
+	key := runner.KeyOf("garbage", "after")
+	s.Save(key, runner.Metrics{"v": 1})
+	fresh, err := Open(s.Root())
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, payload := range []string{
-		"not json at all \x00\xff",
-		`{"schema":`,
-		`[1,2,3]`,
-		`{"schema": 2, "key": "right-shape-wrong-content"}`, // no metrics
-		`null`,
-	} {
-		if err := os.WriteFile(path, []byte(payload), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if m, ok := s.Load(key); ok {
-			t.Fatalf("garbage %q served as %v", payload, m)
-		}
-	}
-	if st := s.Stats(); st.Corrupt != 5 {
-		t.Fatalf("corrupt count = %d, want 5", st.Corrupt)
+	if m, ok := fresh.Load(key); !ok || m["v"] != 1 {
+		t.Fatalf("entry after garbage = %v, %v", m, ok)
 	}
 }
 
 // TestSchemaBumpInvalidatesOldEntries is the satellite acceptance test: an
 // entry written under an older key schema must never be served, whichever
-// of the two defenses catches it. Defense one: keys embed the schema, so an
-// old entry's very path is unreachable. Defense two (exercised here): even
-// an entry file sitting at the *current* key's path but carrying an older
-// embedded schema — e.g. copied across store roots by hand — is rejected on
-// read.
+// of the two defenses catches it. Defense one: each schema has its own log,
+// so a log an older binary wrote is never opened. Defense two: even a line
+// in the current log carrying an older embedded schema, e.g. copied across
+// store roots by hand, is rejected on read.
 func TestSchemaBumpInvalidatesOldEntries(t *testing.T) {
 	s := open(t)
 	key := runner.KeyOf("versioned", 1)
-	stale, err := json.Marshal(entry{
-		Schema:  runner.KeySchema - 1,
-		Key:     key,
-		Metrics: runner.Metrics{"v": 666},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := s.pathFor(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	appendRaw(t, s, entryLine(t, runner.KeySchema-1, key, runner.Metrics{"v": 666}))
 	if m, ok := s.Load(key); ok {
 		t.Fatalf("stale-schema entry served: %v", m)
 	}
@@ -128,39 +182,74 @@ func TestSchemaBumpInvalidatesOldEntries(t *testing.T) {
 		t.Fatalf("stale schema not counted corrupt: %+v", st)
 	}
 
-	// Defense one, directly: the same configuration keyed under the
-	// previous schema hashes to a different file, so nothing a previous
-	// binary wrote can even be addressed by this one.
-	if s.pathFor(key) == s.pathFor(runner.KeyOf("versioned", 2)) {
-		t.Fatal("distinct keys share a path")
+	// Defense one, directly: a complete entry in the previous schema's log
+	// is not even read.
+	old := filepath.Join(s.Root(), fmt.Sprintf("v%d", runner.KeySchema-1))
+	other := runner.KeyOf("versioned", 2)
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	line := entryLine(t, runner.KeySchema, other, runner.Metrics{"v": 666})
+	if err := os.WriteFile(filepath.Join(old, "log.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := s.Load(other); ok {
+		t.Fatalf("entry from another schema's log served: %v", m)
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("another schema's log was read: %+v", st)
 	}
 }
 
+// TestLoadRejectsRelocatedEntry rewrites and then truncates the log under
+// an open handle. The handle's offsets go stale: each must fail the key
+// re-check and read as a miss, never as another key's metrics.
 func TestLoadRejectsRelocatedEntry(t *testing.T) {
 	s := open(t)
 	a, b := runner.KeyOf("relocated", "a"), runner.KeyOf("relocated", "b")
 	s.Save(a, runner.Metrics{"v": 1})
-	// Copy a's entry to b's path: the embedded key no longer matches.
-	raw, err := os.ReadFile(s.pathFor(a))
-	if err != nil {
+	s.Save(b, runner.Metrics{"v": 2})
+	// Rewrite the log in place with the two (equally long) lines swapped:
+	// a's offset now lands on b's line and b's on a's.
+	swapped := entryLine(t, runner.KeySchema, b, runner.Metrics{"v": 2}) +
+		entryLine(t, runner.KeySchema, a, runner.Metrics{"v": 1})
+	if err := os.WriteFile(logPath(s), []byte(swapped), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Dir(s.pathFor(b)), 0o755); err != nil {
+	for _, k := range []string{a, b} {
+		if m, ok := s.Load(k); ok {
+			t.Fatalf("relocated entry served under wrong key: %v", m)
+		}
+	}
+	if st := s.Stats(); st.Corrupt != 2 {
+		t.Fatalf("relocated lines not counted corrupt: %+v", st)
+	}
+	// Truncated to nothing: the stale offsets read short.
+	if err := os.Truncate(logPath(s), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.pathFor(b), raw, 0o644); err != nil {
-		t.Fatal(err)
+	if m, ok := s.Load(a); ok {
+		t.Fatalf("entry served from a truncated log: %v", m)
+	}
+	// The next save finds the log shorter than its index, re-indexes from
+	// scratch and is served; b, gone with the truncation, is a plain miss.
+	s.Save(a, runner.Metrics{"v": 3})
+	if m, ok := s.Load(a); !ok || m["v"] != 3 {
+		t.Fatalf("save after truncation = %v, %v", m, ok)
 	}
 	if m, ok := s.Load(b); ok {
-		t.Fatalf("relocated entry served under wrong key: %v", m)
+		t.Fatalf("truncated key served: %v", m)
+	}
+	if st := s.Stats(); st.Corrupt != 3 {
+		t.Fatalf("stats after truncation = %+v", st)
 	}
 }
 
 // TestConcurrentWritersSameKey races many writers and readers on one key
-// across two DiskStore handles (standing in for two processes sharing a
-// root). Every successful read must observe one of the complete written
-// values — atomic rename means a torn or interleaved entry is impossible —
-// and no temp files may survive.
+// across two DiskStore handles. Each handle owns an open file, so flock
+// orders them as it would two processes. Every successful read must observe
+// one of the complete written values, and every save must leave exactly one
+// whole line in the log.
 func TestConcurrentWritersSameKey(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
@@ -194,6 +283,9 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 						t.Errorf("torn entry observed: %v", m)
 						return
 					}
+				} else {
+					t.Errorf("load after save missed")
+					return
 				}
 			}
 		}()
@@ -202,32 +294,62 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	st := s1.Stats()
-	if st.SaveErrors != 0 {
-		t.Fatalf("concurrent saves errored: %+v", st)
+	for _, s := range []*DiskStore{s1, s2} {
+		if st := s.Stats(); st.SaveErrors != 0 || st.Corrupt != 0 {
+			t.Fatalf("concurrent saves errored: %+v", st)
+		}
 	}
-	// No temp droppings: everything was renamed or removed.
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	lines := logLines(t, logPath(s1))
+	if len(lines) != writers*rounds {
+		t.Fatalf("log holds %d lines, want one per save (%d)", len(lines), writers*rounds)
+	}
+	for _, e := range lines {
+		if e.Key != key || len(e.Metrics) != 2 {
+			t.Fatalf("log line %+v is not a whole entry for %s", e, key)
 		}
-		if !d.IsDir() && strings.Contains(d.Name(), ".tmp-") {
-			t.Errorf("leftover temp file %s", path)
-		}
-		return nil
-	})
+	}
+}
+
+// logLines decodes every line of a log, failing on any that does not parse
+// as a whole entry at the current schema or on a missing final newline.
+func logLines(t *testing.T, path string) []entry {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
+		t.Fatalf("log does not end a line: %q", raw[max(0, len(raw)-40):])
+	}
+	var out []entry
+	for i, line := range strings.Split(string(raw[:len(raw)-1]), "\n") {
+		var e entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Schema != runner.KeySchema || e.Metrics == nil {
+			t.Fatalf("log line %d %q: %v", i, line, err)
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 func TestStoreLayout(t *testing.T) {
 	s := open(t)
 	key := runner.KeyOf("layout")
 	s.Save(key, runner.Metrics{"v": 1})
-	want := filepath.Join(s.Root(), fmt.Sprintf("v%d", runner.KeySchema), key[:2], key+".json")
-	if _, err := os.Stat(want); err != nil {
-		t.Fatalf("entry not at versioned sharded path %s: %v", want, err)
+	vdir := filepath.Join(s.Root(), fmt.Sprintf("v%d", runner.KeySchema))
+	ents, err := os.ReadDir(vdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "log.jsonl" || !ents[0].Type().IsRegular() {
+		t.Fatalf("%s holds %v, want only log.jsonl", vdir, ents)
+	}
+	raw, err := os.ReadFile(filepath.Join(vdir, "log.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := entryLine(t, runner.KeySchema, key, runner.Metrics{"v": 1}); string(raw) != want {
+		t.Fatalf("log = %q, want the one line %q", raw, want)
 	}
 }
 
