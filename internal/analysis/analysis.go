@@ -128,7 +128,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SimclockAnalyzer,
 		KernelPurityAnalyzer,
-		PartitionedOrderAnalyzer,
 		PartitionedFlowAnalyzer,
 		LockedAwaitAnalyzer,
 		DeadlockOrderAnalyzer,

@@ -1,11 +1,10 @@
 package analysis
 
 import (
-	"go/token"
-	"go/types"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -19,26 +18,47 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
-// testImporter is the file set and stdlib source importer every test
-// loader shares, so the standard library is type-checked from source once
-// per test binary rather than once per loader. The tests run sequentially,
-// which the importer needs.
-var testImporter struct {
-	fset     *token.FileSet
-	fallback types.Importer
-}
-
 func newTestLoader(t *testing.T) *Loader {
 	t.Helper()
 	l, err := NewLoader(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if testImporter.fallback == nil {
-		testImporter.fset, testImporter.fallback = l.Fset, l.fallback
-	}
-	l.Fset, l.fallback = testImporter.fset, testImporter.fallback
 	return l
+}
+
+// TestLoadersShareStdlib type-checks stdlib-importing packages from several
+// loaders at once: they share one file set and one source importer, which
+// must serialize its imports.
+func TestLoadersShareStdlib(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l, err := NewLoader(repoRoot(t))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pkg, err := l.LoadSource("mpipart/internal/fixture", map[string]string{"std.go": `package fixture
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
+func F(xs []string) string { sort.Strings(xs); return fmt.Sprint(strings.Join(xs, ",")) }
+`})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(pkg.TypeErrors) > 0 {
+				t.Errorf("type errors: %v", firstN(pkg.TypeErrors, 3))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // fixture is one pinned analyzer behaviour: sources that must produce
@@ -151,8 +171,8 @@ func f() {
 `,
 		},
 		{
-			name:     "partitionedorder_bad",
-			analyzer: "partitionedorder",
+			name:     "partitionedflow_straightline_bad",
+			analyzer: "partitionedflow",
 			pkgPath:  "mpipart/examples/fixture",
 			src: `package main
 import (
@@ -183,8 +203,8 @@ func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
 			},
 		},
 		{
-			name:     "partitionedorder_bufread_bad",
-			analyzer: "partitionedorder",
+			name:     "partitionedflow_straightline_bufread_bad",
+			analyzer: "partitionedflow",
 			pkgPath:  "mpipart/examples/fixture",
 			src: `package main
 import (
@@ -205,8 +225,60 @@ func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
 			want: []string{"read of receive buffer buf"},
 		},
 		{
-			name:     "partitionedorder_wellformed_ok",
-			analyzer: "partitionedorder",
+			// Both branches leave the epoch open with nothing arrived, so the
+			// read after the join is a must-violation; it carries the path.
+			name:     "partitionedflow_branch_bufread_bad",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func consume(x []float64) {}
+func f(p *sim.Proc, r *mpi.Rank, buf []float64, c bool) {
+	rreq := core.PrecvInit(p, r, 0, 7, buf, 4)
+	if c {
+		rreq.Start(p)
+	} else {
+		rreq.Start(p)
+		rreq.PbufPrepare(p)
+	}
+	consume(buf)
+	rreq.Wait(p)
+	rreq.Free()
+}
+`,
+			want: []string{"read of receive buffer buf of request rreq before Parrived/Wait: the epoch is still open [path: branch at line 10"},
+		},
+		{
+			// Only the path that skips the Wait reads an open epoch: not a
+			// must-violation, so silent.
+			name:     "partitionedflow_branch_bufread_ok",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func consume(x []float64) {}
+func f(p *sim.Proc, r *mpi.Rank, buf []float64, c bool) {
+	rreq := core.PrecvInit(p, r, 0, 7, buf, 4)
+	rreq.Start(p)
+	if c {
+		rreq.Wait(p)
+	}
+	consume(buf)
+	rreq.Free()
+}
+`,
+		},
+		{
+			name:     "partitionedflow_straightline_wellformed_ok",
+			analyzer: "partitionedflow",
 			pkgPath:  "mpipart/examples/fixture",
 			src: `package main
 import (
@@ -278,6 +350,28 @@ func f() {
 				"result of fail(...) is ignored",
 				"result of pair(...) is ignored",
 			},
+		},
+		{
+			// A dropped *os.File Close in a command, the shape errcheck-lite
+			// found in cmd/benchgate when its scope grew to cmd/.
+			name:     "errcheck_cmd_file_close",
+			analyzer: "errcheck-lite",
+			pkgPath:  "mpipart/cmd/fixture",
+			src: `package main
+import "os"
+func write(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	f.Close()
+	return nil
+}
+`,
+			want: []string{"result of f.Close(...) is ignored"},
 		},
 		{
 			name:     "errcheck_examples_scope",
@@ -406,6 +500,24 @@ func (k *Kernel) describe() string { return fmt.Sprintf("%s!", k.name) }
 			},
 		},
 		{
+			// A deferred restore closure in a hot-path function, the shape
+			// hotpathalloc found in the sharded kernel's window loop (that
+			// scheduler is gone; the fixture keeps the shape).
+			name:     "hotpathalloc_deferred_closure_bad",
+			analyzer: "hotpathalloc",
+			pkgPath:  "mpipart/internal/sim",
+			src: `package sim
+type Task struct{}
+type Kernel struct{ windowEnd int64 }
+func (k *Kernel) runTask(t *Task) {
+	old := k.windowEnd
+	k.windowEnd = 1
+	defer func() { k.windowEnd = old }()
+}
+`,
+			want: []string{"closure literal in scheduler hot path Kernel.runTask"},
+		},
+		{
 			name:     "hotpathalloc_cold_ok",
 			analyzer: "hotpathalloc",
 			pkgPath:  "mpipart/internal/sim",
@@ -531,8 +643,27 @@ func (e *Engine) describe() string { return fmt.Sprintf("%d items", len(e.items)
 					t.Errorf("finding %d rule = %q, want %q", i, diags[i].Rule, fx.analyzer)
 				}
 			}
+			if len(diags) > 0 {
+				if twin := runFixture(t, l, suppressedTwin(fx, diags)); len(twin) != 0 {
+					t.Errorf("suppressed twin still reports:\n%s", renderDiags(twin))
+				}
+			}
 		})
 	}
+}
+
+// suppressedTwin returns fx with a same-line ignore directive for its rule
+// on every line that reported.
+func suppressedTwin(fx fixture, diags []Diagnostic) fixture {
+	lines := strings.Split(fx.src, "\n")
+	for _, d := range diags {
+		if !strings.HasSuffix(lines[d.Line-1], "suppressed twin") {
+			lines[d.Line-1] += " //lint:ignore mpivet/" + fx.analyzer + " suppressed twin"
+		}
+	}
+	fx.name += "_suppressed"
+	fx.src = strings.Join(lines, "\n")
+	return fx
 }
 
 // TestSuppression pins the //lint:ignore mpivet/<rule> behaviour: a

@@ -121,6 +121,57 @@ func start(p *sim.Proc, sends map[int]*core.SendRequest) {
 			},
 		},
 		{
+			// Request construction in map order: the peer argument of the
+			// init is a map key, the shape of the coll channel-building
+			// findings fixed when maporder landed.
+			name:     "maporder_partitioned_init_bad",
+			analyzer: "maporder",
+			pkgPath:  "mpipart/internal/coll",
+			src: `package coll
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func build(p *sim.Proc, r *mpi.Rank, uses map[int]int, buf []float64) map[int]*core.SendRequest {
+	sends := map[int]*core.SendRequest{}
+	for nbr, n := range uses {
+		sends[nbr] = core.PsendInit(p, r, nbr, 7, buf, n)
+	}
+	return sends
+}
+`,
+			want: []string{
+				"map-iteration-ordered value nbr (from range over uses at line 9) reaches partitioned-API call core.PsendInit",
+			},
+		},
+		{
+			// A map-literal loop handing its keys to a helper with an
+			// effect: the shape of the bench gate's figure/topology tables
+			// fixed when maporder landed.
+			name:     "maporder_helper_effect_bad",
+			analyzer: "maporder",
+			pkgPath:  "mpipart/internal/bench",
+			src: `package bench
+import "fmt"
+type Topology struct{ Nodes int }
+func point(id string, t Topology) string {
+	fmt.Println(id, t.Nodes)
+	return id
+}
+func gatePoints() []string {
+	var ids []string
+	for fig, topo := range map[string]Topology{"fig6": {1}, "fig7": {2}} {
+		ids = append(ids, point(fig+"/mpi", topo))
+	}
+	return ids
+}
+`,
+			want: []string{
+				"reaches HostIO via bench.point",
+			},
+		},
+		{
 			name:     "floatorder_map_accumulation_bad",
 			analyzer: "floatorder",
 			pkgPath:  "mpipart/internal/bench",

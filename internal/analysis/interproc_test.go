@@ -100,6 +100,36 @@ func f() {
 			wantChain: []string{"bench.helper", "bench.deep", "go statement"},
 		},
 		{
+			// A kernel body reaches a sync.Once through a memo method: the
+			// shape kernelpurity found in the deep-learning gradient kernel.
+			name:     "kernelpurity_sync_once_via_helper",
+			analyzer: "kernelpurity",
+			pkgs: []pkgSrc{
+				{path: "mpipart/internal/dl", files: map[string]string{"kp_once_fixture.go": `package dl
+import (
+	"sync"
+	"mpipart/internal/gpu"
+)
+type shard struct {
+	g    []float64
+	once sync.Once
+}
+func (s *shard) grad0() []float64 {
+	s.once.Do(func() { s.g = make([]float64, 4) })
+	return s.g
+}
+func f(s *shard) {
+	body := func(b *gpu.BlockCtx) {
+		_ = s.grad0()
+	}
+	_ = body
+}
+`}},
+			},
+			want:      []string{"call of dl.(shard).grad0 from kernel body reaches call of sync.Once.Do"},
+			wantChain: []string{"dl.(shard).grad0", "sync.Once.Do"},
+		},
+		{
 			// A scheduler hot-path function calls a helper whose own callee
 			// formats: the allocation is two hops away. Panic-argument calls
 			// stay exempt even transitively.
@@ -377,10 +407,9 @@ func good(p *sim.Proc, rk *mpi.Rank, buf []float64) {
 		},
 		{
 			// Path-sensitive: Pready fires inside a branch before any Start
-			// exists on ANY path. The straight-line v2 walk dropped tracking at
-			// the `if`; the CFG typestate reports it with the branch path.
-			// partitionedorder rescans the nested block with fresh state, so
-			// this finding is exclusively partitionedflow's.
+			// exists on ANY path. A straight-line walk loses the request at
+			// the `if`; the CFG typestate carries it into the branch and
+			// reports the finding with the branch path.
 			name:     "partitionedflow_branch_pready_before_start_bad",
 			analyzer: "partitionedflow",
 			pkgs: []pkgSrc{
@@ -462,8 +491,7 @@ func good(p *sim.Proc, rk *mpi.Rank, buf []float64, run bool) {
 		{
 			// A well-formed multi-epoch loop: Start/Pready*/Wait per iteration,
 			// Free after. The back edge feeds the post-Wait state into the loop
-			// head; the fixpoint proves every epoch transition legal. Both the
-			// v2 walk and partitionedorder dropped tracking at the `for`.
+			// head; the fixpoint proves every epoch transition legal.
 			name:     "partitionedflow_epoch_loop_ok",
 			analyzer: "partitionedflow",
 			pkgs: []pkgSrc{

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // File is one parsed source file of a Package.
@@ -74,12 +75,22 @@ type Loader struct {
 
 	typesCache map[string]*types.Package
 	checking   map[string]bool // cycle guard
-	fallback   types.Importer
 	typeErrs   []error
 	// memPkgs holds the non-test ASTs of packages built with LoadSource, so
 	// one in-memory fixture package can import another (load the imported
 	// package first).
 	memPkgs map[string][]*ast.File
+}
+
+// stdlib is the file set and standard-library source importer every Loader
+// of the process shares, so the standard library is type-checked from
+// source once per process rather than once per loader. The source importer
+// is not safe for concurrent use: mu serializes Import.
+var stdlib struct {
+	once     sync.Once
+	fset     *token.FileSet
+	mu       sync.Mutex
+	importer types.Importer
 }
 
 // NewLoader creates a loader for the module rooted at root (the directory
@@ -104,14 +115,16 @@ func NewLoader(root string) (*Loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("analysis: no module line in %s/go.mod", abs)
 	}
-	fset := token.NewFileSet()
+	stdlib.once.Do(func() {
+		stdlib.fset = token.NewFileSet()
+		stdlib.importer = importer.ForCompiler(stdlib.fset, "source", nil)
+	})
 	return &Loader{
 		ModuleRoot: abs,
 		ModulePath: modPath,
-		Fset:       fset,
+		Fset:       stdlib.fset,
 		typesCache: map[string]*types.Package{},
 		checking:   map[string]bool{},
-		fallback:   importer.ForCompiler(fset, "source", nil),
 	}, nil
 }
 
@@ -328,7 +341,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		l.typesCache[path] = p
 		return p, nil
 	}
-	p, err := l.fallback.Import(path)
+	stdlib.mu.Lock()
+	p, err := stdlib.importer.Import(path)
+	stdlib.mu.Unlock()
 	if err != nil || p == nil {
 		l.typeErrs = append(l.typeErrs, fmt.Errorf("import %q: %v", path, err))
 		p = stubPackage(path)

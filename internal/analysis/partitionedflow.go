@@ -9,10 +9,13 @@ import (
 	"strings"
 )
 
-// PartitionedFlowAnalyzer lifts partitionedorder's Psend/Precv state machine
-// across function boundaries. partitionedorder stays intra-function (it owns
-// the straight-line misuse diagnostics); partitionedflow adds exactly the
-// violations that require at least one interprocedural step:
+// PartitionedFlowAnalyzer owns the partitioned-API state machine (the misuse
+// classes Bridges et al. catalog for GPU-triggered MPI): Pready, PbufPrepare
+// or Wait before Start, double Start, duplicate or out-of-range literal
+// Pready/Parrived, Free of an active request, any use after Free, and reads
+// of a receive buffer inside an open epoch before Parrived/Wait. It sees the
+// misuse on one straight line, along branch paths, and across function
+// boundaries:
 //
 //   - a helper performs state-machine operations on a request-typed
 //     parameter (directly or through further helpers), and the call site's
@@ -26,8 +29,7 @@ import (
 // ordered operation list per request-typed parameter. A parameter that
 // escapes the straight-line view (compound control flow, unknown callees,
 // stores, returns) degrades to an opaque summary, and the caller stops
-// tracking at the call — recall traded for zero false positives, the same
-// bargain partitionedorder strikes.
+// tracking at the call — recall traded for zero false positives.
 //
 // The caller side is a path-sensitive typestate automaton solved over the
 // per-function CFG: each tracked request carries the SET of protocol states
@@ -36,14 +38,22 @@ import (
 // in EVERY possible state — must-violation semantics, so correlated branches
 // (`if x { r.Start(p) } ... if x { r.Wait(p) }`) stay silent — and the
 // diagnostic carries the branch path from the initialization to the
-// violation. Findings that partitionedorder already reports on the same
-// straight line are suppressed (computed by replaying its exact walk), so
-// the two analyzers partition the diagnostic space instead of overlapping.
+// violation.
 var PartitionedFlowAnalyzer = &Analyzer{
 	Name:      "partitionedflow",
-	Doc:       "partitioned-API state-machine misuse split across function boundaries (helper-issued Pready before Start, ...)",
+	Doc:       "flag partitioned-API state-machine misuse on straight lines, branch paths and through helpers (Pready before Start, use after Free, ...)",
 	SkipTests: true, // tests exercise misuse on purpose (mustPanic)
 	Run:       runPartitionedFlow,
+}
+
+// partInitCalls maps initializer names to the request direction.
+var partInitCalls = map[string]string{
+	"PsendInit":           "send",
+	"PsendInitParts":      "send",
+	"PsendInitPersistent": "send",
+	"PrecvInit":           "recv",
+	"PrecvInitParts":      "recv",
+	"PrecvInitPersistent": "recv",
 }
 
 // partOp is one state-machine operation a helper applies to a request-typed
@@ -408,9 +418,11 @@ type pflowState struct {
 	// readied is the bitmask of literal partitions (< 64) marked ready in
 	// the current epoch; larger literals simply forgo duplicate detection.
 	readied uint64
-	// interproc marks state that involved at least one cross-function step
-	// (helper-returned init, helper-spliced op).
-	interproc bool
+	// buf is the receive buffer identifier of a recv request initialized
+	// with a plain-identifier buffer ("" otherwise); arrived records a
+	// Parrived/Wait/Test (or a reported read) since the last Start.
+	buf     string
+	arrived bool
 	// initBlock/initPos anchor where tracking began, for branch-path
 	// rendering in diagnostics.
 	initBlock int
@@ -478,7 +490,10 @@ func pflowCanon(states []pflowState) []pflowState {
 		if a.readied != b.readied {
 			return a.readied < b.readied
 		}
-		return !a.interproc && b.interproc
+		if a.buf != b.buf {
+			return a.buf < b.buf
+		}
+		return !a.arrived && b.arrived
 	})
 	return out
 }
@@ -535,25 +550,12 @@ func pflowNames(f pflowFact) []string {
 	return names
 }
 
-// partLocalCovered replays partitionedorder's exact straight-line walk over
-// body and records the positions where it reports. The typestate engine
-// suppresses purely local findings at those positions: the two analyzers
-// partition the diagnostic space.
-func partLocalCovered(body *ast.BlockStmt) map[token.Pos]bool {
-	covered := map[token.Pos]bool{}
-	scanPartBlock(func(pos token.Pos, format string, args ...interface{}) {
-		covered[pos] = true
-	}, body, map[string]*partReq{})
-	return covered
-}
-
 // pflowCtx carries the per-function analysis state.
 type pflowCtx struct {
 	pass      *Pass
 	prog      *Program
 	node      *FuncNode
 	cfg       *CFG
-	covered   map[token.Pos]bool
 	reporting bool // false during Solve, true during the replay pass
 }
 
@@ -571,7 +573,6 @@ func runPartitionedFlow(pass *Pass) {
 		}
 		cx := &pflowCtx{pass: pass, prog: prog, node: node}
 		cx.cfg = BuildCFG(node.Body())
-		cx.covered = partLocalCovered(node.Body())
 		res := Solve(cx.cfg, FlowProblem[pflowFact]{
 			Boundary: pflowFact{vars: map[string][]pflowState{}},
 			Init:     pflowFact{top: true},
@@ -605,6 +606,7 @@ func (cx *pflowCtx) transfer(blk *CFGBlock, in pflowFact) pflowFact {
 // way the automaton does not model drop the variable (zero false positives
 // over recall, as everywhere in this engine).
 func (cx *pflowCtx) step(blk *CFGBlock, n ast.Node, f pflowFact) pflowFact {
+	cx.checkBufferReads(blk, n, f)
 	switch s := n.(type) {
 	case *ast.AssignStmt:
 		cx.stepAssign(blk, s, f)
@@ -616,7 +618,7 @@ func (cx *pflowCtx) step(blk *CFGBlock, n ast.Node, f pflowFact) pflowFact {
 		}
 	case *ast.DeferStmt:
 		// defer x.Free()/x.Wait(p) is well-formed cleanup at exit: stop
-		// tracking the variable (mirrors partitionedorder).
+		// tracking the variable.
 		if id := recvIdent(s.Call); id != nil {
 			delete(f.vars, id.Name)
 		} else {
@@ -637,6 +639,49 @@ func (cx *pflowCtx) step(blk *CFGBlock, n ast.Node, f pflowFact) pflowFact {
 		cx.dropUses(n, f)
 	}
 	return f
+}
+
+// checkBufferReads reports a node that mentions the receive buffer of a
+// request whose epoch is open with nothing arrived in every possible state:
+// the sender may still be writing into it. The read then counts as arrival,
+// so an epoch is reported once; Solve and the replay take the same step.
+func (cx *pflowCtx) checkBufferReads(blk *CFGBlock, n ast.Node, f pflowFact) {
+	switch s := n.(type) {
+	case *ast.DeferStmt, *ast.SelectStmt:
+		// A deferred call runs at exit; a select's clauses are nodes of
+		// their own.
+		return
+	case *ast.RangeStmt:
+		n = s.X // the body has its own blocks
+	}
+	for _, name := range pflowNames(f) {
+		states := f.vars[name]
+		if !pflowAll(states, func(st pflowState) bool {
+			return st.buf != "" && st.started && !st.arrived && !st.freed && usesIdent(n, st.buf)
+		}) {
+			continue
+		}
+		if cx.reporting {
+			cx.pass.Reportf(n.Pos(), "read of receive buffer %s of request %s before Parrived/Wait: the epoch is still open%s",
+				states[0].buf, name, cx.pathDesc(states, blk))
+		}
+		out := make([]pflowState, len(states))
+		for i, st := range states {
+			st.arrived = true
+			out[i] = st
+		}
+		f.vars[name] = pflowCanon(out)
+	}
+}
+
+// pflowAll reports whether pred holds in every state of a tracked variable.
+func pflowAll(states []pflowState, pred func(pflowState) bool) bool {
+	for _, st := range states {
+		if !pred(st) {
+			return false
+		}
+	}
+	return true
 }
 
 func pflowBinds(e ast.Expr, name string) bool {
@@ -674,9 +719,15 @@ func (cx *pflowCtx) stepAssign(blk *CFGBlock, s *ast.AssignStmt, f pflowFact) {
 	if dir, isInit := partInitCalls[name]; isInit && lhs.Name != "_" {
 		cx.dropUses(call, f) // a tracked request in the init args escapes
 		st := pflowState{dir: dir, nparts: -1, initBlock: blk.Index, initPos: call.Pos()}
+		// P*Init(p, r, peer, tag, buf, nparts): a literal partition count and
+		// a plain-identifier receive buffer feed the range and buffer-read
+		// checks.
 		if !strings.HasSuffix(name, "Parts") && len(call.Args) == 6 {
 			if n, ok := intLit(call.Args[5]); ok {
 				st.nparts = n
+			}
+			if buf, ok := call.Args[4].(*ast.Ident); ok && dir == "recv" {
+				st.buf = buf.Name
 			}
 		}
 		f.vars[lhs.Name] = []pflowState{st}
@@ -688,7 +739,7 @@ func (cx *pflowCtx) stepAssign(blk *CFGBlock, s *ast.AssignStmt, f pflowFact) {
 		cs := cx.prog.partSumm[site.Callees[0].index]
 		if cs != nil && cs.retDir != "" && lhs.Name != "_" {
 			cx.dropUses(s, f)
-			st := pflowState{dir: cs.retDir, nparts: -1, interproc: true, initBlock: blk.Index, initPos: call.Pos()}
+			st := pflowState{dir: cs.retDir, nparts: -1, initBlock: blk.Index, initPos: call.Pos()}
 			states := []pflowState{st}
 			for _, op := range cs.retOps {
 				states = cx.applyOp(blk, lhs.Name, states, op, site.Callees[0], call.Pos())
@@ -878,24 +929,26 @@ func pflowChecks(op partOp, name, viaDesc string, rep pflowState) []pflowCheck {
 }
 
 // pflowAdvance steps one state by one operation.
-func pflowAdvance(st pflowState, op partOp, via *FuncNode) pflowState {
-	if !st.freed {
-		switch op.method {
-		case "Start":
-			st.started = true
-			st.readied = 0
-		case "Pready":
-			if op.part >= 0 && op.part < 64 {
-				st.readied |= 1 << uint(op.part)
-			}
-		case "Wait", "Test":
-			st.started = false
-		case "Free":
-			st.freed = true
-		}
+func pflowAdvance(st pflowState, op partOp) pflowState {
+	if st.freed {
+		return st
 	}
-	if via != nil {
-		st.interproc = true
+	switch op.method {
+	case "Start":
+		st.started = true
+		st.readied = 0
+		st.arrived = false
+	case "Pready":
+		if op.part >= 0 && op.part < 64 {
+			st.readied |= 1 << uint(op.part)
+		}
+	case "Parrived":
+		st.arrived = true
+	case "Wait", "Test":
+		st.started = false
+		st.arrived = true
+	case "Free":
+		st.freed = true
 	}
 	return st
 }
@@ -913,46 +966,21 @@ func (cx *pflowCtx) applyOp(blk *CFGBlock, name string, states []pflowState, op 
 		if op.via != nil {
 			viaDesc = fmt.Sprintf(" (issued inside %s)", op.via.ShortName())
 		}
-		// Eligibility: interprocedural findings are always this analyzer's;
-		// purely local ones only when partitionedorder does not already
-		// report at this operation (its straight-line walk was replayed).
-		eligible := via != nil
-		if !eligible {
-			eligible = true
-			for _, st := range states {
-				if !st.interproc {
-					eligible = false
-					break
-				}
+		for _, chk := range pflowChecks(op, name, viaDesc, states[0]) {
+			if !pflowAll(states, chk.fires) {
+				continue
 			}
-			if !eligible {
-				eligible = !cx.covered[op.pos]
+			msg := chk.msg + cx.pathDesc(states, blk)
+			var chain []ChainStep
+			if via != nil {
+				chain = cx.pass.opChain(via, op)
 			}
-		}
-		if eligible {
-			for _, chk := range pflowChecks(op, name, viaDesc, states[0]) {
-				all := true
-				for _, st := range states {
-					if !chk.fires(st) {
-						all = false
-						break
-					}
-				}
-				if !all {
-					continue
-				}
-				msg := chk.msg + cx.pathDesc(states, blk)
-				var chain []ChainStep
-				if via != nil {
-					chain = cx.pass.opChain(via, op)
-				}
-				cx.pass.ReportfChain(reportPos, chain, "%s", msg)
-			}
+			cx.pass.ReportfChain(reportPos, chain, "%s", msg)
 		}
 	}
 	out := make([]pflowState, 0, len(states))
 	for _, st := range states {
-		out = append(out, pflowAdvance(st, op, via))
+		out = append(out, pflowAdvance(st, op))
 	}
 	return pflowCanon(out)
 }
