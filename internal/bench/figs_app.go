@@ -41,8 +41,11 @@ func jacobiOn(w *mpi.World, cfg jacobi.Config,
 
 // jacobiMetrics runs one Jacobi variant on w and returns the catalog
 // point's metrics. The checksum is rank 0's tile sum; a timing-only world
-// computes no tile, so it takes the value from jacobi.ConeChecksum, which
-// is bit-identical to what a full-payload run of the point sums.
+// computes no tile, so it takes the value from jacobi.ConeChecksum, a sweep
+// of only the Iters rows the heat front has reached inside rank 0's
+// dependency cone, bit-identical to what a full-payload run of the point
+// sums. At Iters rows it costs O(width·Iters), so calling it once per
+// point needs no memo.
 func jacobiMetrics(w *mpi.World, cfg jacobi.Config,
 	variant func(r *mpi.Rank, cfg jacobi.Config) jacobi.Stats) runner.Metrics {
 	st := jacobiOn(w, cfg, variant)

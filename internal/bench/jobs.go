@@ -61,7 +61,8 @@ func elapsedPoint(id, key string, measure func() float64) runner.Point {
 // measureWorld builds the world of one measurement. Measurements whose
 // results need no computed payload pass timingOnly (sim.Kernel.SetTimingOnly),
 // which skips all payload arithmetic and copies: every catalog point,
-// Jacobi's included, whose checksum comes from jacobi.ConeChecksum.
+// Jacobi's included, whose checksum comes from jacobi.ConeChecksum's sweep
+// of the rows the heat front has reached in rank 0's dependency cone.
 // MeasureDL and MeasureJacobi keep full payload because their callers read
 // the computed WeightSum and Checksum.
 func measureWorld(topo cluster.Topology, m cluster.Model, timingOnly bool) *mpi.World {

@@ -89,7 +89,7 @@ type Stats struct {
 
 // Checksum returns the sum of the rank's final tile (for verification),
 // or NaN in a timing-only world, which computes no tile (ConeChecksum
-// gives rank 0's value without a distributed run).
+// gives rank 0's value from the rows the heat front has reached).
 func (s Stats) Checksum() float64 {
 	if s.tile == nil {
 		return math.NaN()
@@ -521,19 +521,19 @@ func Reference(cfg Config) []float64 {
 	return sums
 }
 
-// ConeChecksum returns rank 0's tile checksum, Reference(cfg)[0], without
-// sweeping the whole global grid. After Iters sweeps a point depends only
-// on points within Iters of it, so the corner crop reaching Iters past
-// rank 0's tile (clamped to the global grid) evolves rank 0's points
-// exactly as the full grid does: the crop's own east and south edges,
-// held at 0, are more than Iters from every point of the tile. Rows run
-// through stencilRow with a ones row above (the global top edge) and a
-// zeros row below, so every point is the same expression as in Reference,
-// and the tile is summed in Reference's row-major order: the result is
-// bit-identical.
+// ConeChecksum returns rank 0's tile checksum, Reference(cfg)[0], from a
+// corner crop of the grid. The interior starts at zero and only the top
+// edge is hot, so after t sweeps only rows above t can be nonzero: rows at
+// or below Iters stay +0, and adding +0 to the tile's non-negative sum
+// changes no bit. A point depends only on points within Iters of it, so
+// columns past NX+Iters cannot reach the tile. The crop, min(PX·NX,
+// NX+Iters) × min(PY·NY, Iters), runs on stencilRow between a ones row
+// (the top edge) and a zeros row (global row cy, +0 or the bottom edge),
+// and the tile's rows in it are summed in Reference's row-major order: the
+// result is bit-identical.
 func ConeChecksum(cfg Config) float64 {
 	cx := min(cfg.PX*cfg.NX, cfg.NX+cfg.Iters)
-	cy := min(cfg.PY*cfg.NY, cfg.NY+cfg.Iters)
+	cy := min(cfg.PY*cfg.NY, cfg.Iters)
 	a := make([]float64, cx*cy)
 	anew := make([]float64, cx*cy)
 	ones := make([]float64, cx)
@@ -557,7 +557,7 @@ func ConeChecksum(cfg Config) float64 {
 		a, anew = anew, a
 	}
 	sum := 0.0
-	for y := 0; y < cfg.NY; y++ {
+	for y := 0; y < min(cfg.NY, cy); y++ {
 		for _, v := range a[y*cx : y*cx+cfg.NX] {
 			sum += v
 		}

@@ -2,6 +2,7 @@ package jacobi
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mpipart/internal/cluster"
@@ -238,6 +239,62 @@ func TestConeChecksumMatchesReference(t *testing.T) {
 					t.Errorf("%+v: ConeChecksum = %v, Reference = %v", cfg, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRowsBelowFrontStayZero pins ConeChecksum's row crop: from a zero
+// interior with only the top edge hot, a sweep moves the heat front down
+// one row, so every tile whose first global row is at or below Iters sums
+// to exactly +0, while every tile the front has reached sums positive.
+func TestRowsBelowFrontStayZero(t *testing.T) {
+	for _, d := range []struct{ px, py int }{{2, 1}, {2, 2}, {4, 2}} {
+		const nx, ny = 5, 6
+		for iters := 1; iters < d.py*ny; iters++ {
+			cfg := Config{PX: d.px, PY: d.py, NX: nx, NY: ny, Iters: iters}
+			for tile, sum := range Reference(cfg) {
+				first := tile / d.px * ny
+				if first >= iters && math.Float64bits(sum) != 0 {
+					t.Errorf("%+v: tile %d (first row %d) sums to %v, want +0", cfg, tile, first, sum)
+				}
+				if first < iters && !(sum > 0) {
+					t.Errorf("%+v: tile %d (first row %d) sums to %v, want > 0", cfg, tile, first, sum)
+				}
+			}
+		}
+	}
+}
+
+// TestConeChecksumAllocBound: the crop grows with the tile width and
+// Iters, not with the tile area, so a 4×2 world of 4096×4096 tiles at the
+// catalog's 4 sweeps allocates well under 8 MB, where a crop of the whole
+// (NX+Iters)×(NY+Iters) cone would allocate about 269 MB.
+func TestConeChecksumAllocBound(t *testing.T) {
+	cfg := Config{PX: 4, PY: 2, NX: 4096, NY: 4096, Iters: 4}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ConeChecksum(cfg)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("ConeChecksum(%+v) allocated %d bytes, want < %d", cfg, got, 8<<20)
+	}
+}
+
+// BenchmarkConeChecksumCatalog computes the checksums of the 24 catalog
+// Jacobi points of Figs. 8/9: 2×2 and 4×2 decompositions, tiles 32·2^k
+// for k = 0..5, 4 sweeps, each config once per variant.
+func BenchmarkConeChecksumCatalog(b *testing.B) {
+	var cfgs []Config
+	for _, d := range []struct{ px, py int }{{2, 2}, {4, 2}} {
+		for tile := 32; tile <= 32<<5; tile *= 2 {
+			cfg := Config{PX: d.px, PY: d.py, NX: tile, NY: tile, Iters: 4}
+			cfgs = append(cfgs, cfg, cfg)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			ConeChecksum(cfg)
 		}
 	}
 }
