@@ -20,6 +20,7 @@ import (
 	"mpipart/internal/jacobi"
 	"mpipart/internal/mpi"
 	"mpipart/internal/nccl"
+	"mpipart/internal/runner"
 	"mpipart/internal/sim"
 )
 
@@ -75,7 +76,7 @@ func BenchmarkFig2LargeKernel(b *testing.B) {
 func BenchmarkFig3Aggregation(b *testing.B) {
 	var tb *bench.Table
 	for i := 0; i < b.N; i++ {
-		tb = bench.Fig3()
+		tb = bench.RunJob(runner.New(1), bench.Fig3Job())
 	}
 	last := len(tb.Rows) - 1
 	thread := atof(tb.Cell(last, "thread_us"))
@@ -161,7 +162,7 @@ func BenchmarkFig7AllreduceTwoNodes(b *testing.B) {
 func BenchmarkTableIOverheads(b *testing.B) {
 	var tb *bench.Table
 	for i := 0; i < b.N; i++ {
-		tb = bench.TableI()
+		tb = bench.RunJob(runner.New(1), bench.TableIJob())
 	}
 	b.ReportMetric(atof(tb.Cell(0, "measured_us")), "us-psend-init-virt")
 	b.ReportMetric(atof(tb.Cell(1, "measured_us")), "us-pallreduce-init-virt")

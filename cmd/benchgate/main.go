@@ -15,7 +15,7 @@
 //	benchgate -check BENCH_GOLDEN.json            # gate (default)
 //	benchgate -write BENCH_GOLDEN.json            # regenerate deliberately
 //	benchgate -check ... -report diff.txt         # also write the diff report
-//	benchgate -workers 8 | -seq                   # pool size (default GOMAXPROCS)
+//	benchgate -workers 8                          # pool size (default GOMAXPROCS)
 //	benchgate -store sweep-store                  # persistent result cache
 //	benchgate -server http://127.0.0.1:7077       # gate against a sweepd daemon
 //	benchgate -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -60,7 +60,6 @@ func main() {
 		write      = flag.String("write", "", "run the gate and (re)write this golden file instead of checking")
 		report     = flag.String("report", "", "also write the diff report (or 'no drift') to this file")
 		workers    = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS")
-		seq        = flag.Bool("seq", false, "sequential execution (same as -workers 1)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the gate run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the gate run to this file")
 
@@ -83,9 +82,6 @@ func main() {
 	}
 	if path == "" {
 		path = "BENCH_GOLDEN.json"
-	}
-	if *seq {
-		*workers = 1
 	}
 	if *server != "" {
 		if *storeDir != "" {

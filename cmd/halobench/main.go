@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	halobench -nodes 2 -max 65536 [-workers N | -seq]
+//	halobench -nodes 2 -max 65536 [-workers N]
 package main
 
 import (
@@ -23,12 +23,8 @@ func main() {
 		nodes   = flag.Int("nodes", 1, "nodes (1 = four GH200 2x2, 2 = eight GH200 4x2)")
 		max     = flag.Int("max", 1<<16, "largest halo size in elements (8 B each)")
 		workers = flag.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
-		seq     = flag.Bool("seq", false, "sequential execution (same as -workers 1)")
 	)
 	flag.Parse()
-	if *seq {
-		*workers = 1
-	}
 	topo := cluster.OneNodeGH200()
 	if *nodes == 2 {
 		topo = cluster.TwoNodeGH200()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	osu -kind latency|bw|bibw|platency -inter -max 65536 [-workers N | -seq]
+//	osu -kind latency|bw|bibw|platency -inter -max 65536 [-workers N]
 package main
 
 import (
@@ -24,12 +24,8 @@ func main() {
 		inter   = flag.Bool("inter", false, "inter-node instead of intra-node")
 		max     = flag.Int("max", 1<<16, "largest message size in elements (8 B each)")
 		workers = flag.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
-		seq     = flag.Bool("seq", false, "sequential execution (same as -workers 1)")
 	)
 	flag.Parse()
-	if *seq {
-		*workers = 1
-	}
 	topo, peer := cluster.OneNodeGH200(), 1
 	if *inter {
 		topo, peer = cluster.TwoNodeGH200(), 4

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	sweep -param sync|launch|flaggap|nvlink|ib -grid 64 [-workers N | -seq]
+//	sweep -param sync|launch|flaggap|nvlink|ib -grid 64 [-workers N]
 package main
 
 import (
@@ -28,12 +28,8 @@ func main() {
 		param   = flag.String("param", "sync", "parameter to sweep: sync | launch | flaggap | nvlink | ib")
 		grid    = flag.Int("grid", 64, "kernel grid size")
 		workers = flag.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
-		seq     = flag.Bool("seq", false, "sequential execution (same as -workers 1)")
 	)
 	flag.Parse()
-	if *seq {
-		*workers = 1
-	}
 
 	type point struct {
 		label string

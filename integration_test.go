@@ -18,19 +18,26 @@ import (
 	"mpipart/internal/mpi"
 	"mpipart/internal/nccl"
 	"mpipart/internal/predict"
+	"mpipart/internal/runner"
 	"mpipart/internal/sim"
 )
 
 // TestWholeStackDeterminism renders several figure tables twice and
 // requires byte-identical output — the property every number in
-// EXPERIMENTS.md relies on.
+// EXPERIMENTS.md relies on. Each pass gets a fresh runner, so the second
+// simulates everything again instead of replaying the first from memory.
 func TestWholeStackDeterminism(t *testing.T) {
 	render := func() string {
+		r := runner.New(0)
 		var buf bytes.Buffer
-		bench.Fig3().Fprint(&buf)
-		bench.Fig4(16).Fprint(&buf)
-		bench.TableI().Fprint(&buf)
-		bench.OSUTable("latency", cluster.OneNodeGH200(), 1, 256).Fprint(&buf)
+		for _, j := range []bench.Job{
+			bench.Fig3Job(),
+			bench.Fig4Job(16),
+			bench.TableIJob(),
+			bench.OSUJob("latency", cluster.OneNodeGH200(), 1, 256),
+		} {
+			bench.RunJob(r, j).Fprint(&buf)
+		}
 		return buf.String()
 	}
 	if render() != render() {

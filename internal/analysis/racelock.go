@@ -223,7 +223,7 @@ func raceIDOf(node *FuncNode, e ast.Expr) string {
 				return pkgPath + "." + owner + "." + v.Name()
 			}
 			// Anonymous-struct base: qualify by the base identity instead
-			// (covers package vars like serve.defaultCatalog).
+			// (covers package vars like bench's catalog).
 			if base := raceIDOf(node, x.X); base != "" {
 				return base + "." + v.Name()
 			}

@@ -162,7 +162,7 @@ func lead() { fl.res = 42 }
 		},
 		{
 			// sync.Once: the callback's writes and post-Do reads share the
-			// Once pseudo-lock (the defaultCatalog idiom).
+			// Once pseudo-lock (bench.Catalog's idiom).
 			name:     "racelock_once_silent",
 			analyzer: "racelock",
 			pkgs: []pkgSrc{

@@ -11,8 +11,13 @@ import (
 	"mpipart/internal/core"
 	"mpipart/internal/jacobi"
 	"mpipart/internal/mpi"
+	"mpipart/internal/runner"
 	"mpipart/internal/sim"
 )
+
+// testRunner is shared by this package's table tests, so a point that
+// several of them declare is simulated once.
+var testRunner = runner.New(0)
 
 func cellF(t *testing.T, tb *Table, row int, col string) float64 {
 	t.Helper()
@@ -72,7 +77,7 @@ func TestGridSweep(t *testing.T) {
 }
 
 func TestFig2SyncConstantAndShareDeclines(t *testing.T) {
-	tb := Fig2(2048)
+	tb := RunJob(testRunner, Fig2Job(2048))
 	syncRef := cellF(t, tb, 0, "sync_us")
 	if syncRef != 7.8 {
 		t.Fatalf("sync = %v, want 7.8", syncRef)
@@ -95,7 +100,7 @@ func TestFig2SyncConstantAndShareDeclines(t *testing.T) {
 }
 
 func TestFig3RatiosMatchPaper(t *testing.T) {
-	tb := Fig3()
+	tb := RunJob(testRunner, Fig3Job())
 	last := len(tb.Rows) - 1
 	thread := cellF(t, tb, last, "thread_us")
 	warp := cellF(t, tb, last, "warp_us")
@@ -118,7 +123,7 @@ func TestFig3RatiosMatchPaper(t *testing.T) {
 }
 
 func TestFig4OrderingAndBound(t *testing.T) {
-	tb := Fig4(64)
+	tb := RunJob(testRunner, Fig4Job(64))
 	for i := range tb.Rows {
 		tr := cellF(t, tb, i, "sendrecv_GBps")
 		pe := cellF(t, tb, i, "prog_engine_GBps")
@@ -133,7 +138,7 @@ func TestFig4OrderingAndBound(t *testing.T) {
 }
 
 func TestFig5SpeedupDeclines(t *testing.T) {
-	tb := Fig5(256)
+	tb := RunJob(testRunner, Fig5Job(256))
 	first := cellF(t, tb, 0, "pe_speedup")
 	lastR := len(tb.Rows) - 1
 	last := cellF(t, tb, lastR, "pe_speedup")
@@ -146,7 +151,7 @@ func TestFig5SpeedupDeclines(t *testing.T) {
 }
 
 func TestFig6Ordering(t *testing.T) {
-	tb := Fig6(256)
+	tb := RunJob(testRunner, Fig6Job(256))
 	for i := range tb.Rows {
 		mpiT := cellF(t, tb, i, "mpi_allreduce_us")
 		part := cellF(t, tb, i, "partitioned_us")
@@ -161,7 +166,7 @@ func TestFig6Ordering(t *testing.T) {
 }
 
 func TestTableIWithinPaperBands(t *testing.T) {
-	tb := TableI()
+	tb := RunJob(testRunner, TableIJob())
 	checks := []struct {
 		row      int
 		lo, hi   float64
@@ -312,7 +317,7 @@ func TestPartitionedLatencySteadyState(t *testing.T) {
 
 func TestOSUTableKinds(t *testing.T) {
 	for _, kind := range []string{"latency", "bw", "bibw", "platency"} {
-		tb := OSUTable(kind, cluster.OneNodeGH200(), 1, 64)
+		tb := RunJob(testRunner, OSUJob(kind, cluster.OneNodeGH200(), 1, 64))
 		if len(tb.Rows) == 0 {
 			t.Fatalf("%s produced no rows", kind)
 		}
@@ -322,7 +327,7 @@ func TestOSUTableKinds(t *testing.T) {
 			t.Fatal("unknown kind should panic")
 		}
 	}()
-	OSUTable("nope", cluster.OneNodeGH200(), 1, 4)
+	OSUJob("nope", cluster.OneNodeGH200(), 1, 4)
 }
 
 func TestHaloNeighbours(t *testing.T) {
@@ -355,7 +360,7 @@ func TestHaloPartitionedBeatsTraditional(t *testing.T) {
 }
 
 func TestHaloTableShape(t *testing.T) {
-	tb := HaloTable(cluster.OneNodeGH200(), 1024)
+	tb := RunJob(testRunner, HaloJob(cluster.OneNodeGH200(), 1024))
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}

@@ -119,16 +119,10 @@ func Fig8Job(maxMult int) Job {
 	return jacobiJob("fig8", "Fig. 8: Jacobi solver GFLOP/s, four GH200 (2x2)", cluster.OneNodeGH200(), maxMult)
 }
 
-// Fig8 regenerates Figure 8 through the shared parallel runner.
-func Fig8(maxMult int) *Table { return RunJob(defaultRunner, Fig8Job(maxMult)) }
-
 // Fig9Job declares Figure 9: Jacobi GFLOP/s on eight GH200 (4x2 tiles).
 func Fig9Job(maxMult int) Job {
 	return jacobiJob("fig9", "Fig. 9: Jacobi solver GFLOP/s, eight GH200 (4x2)", cluster.TwoNodeGH200(), maxMult)
 }
-
-// Fig9 regenerates Figure 9 through the shared parallel runner.
-func Fig9(maxMult int) *Table { return RunJob(defaultRunner, Fig9Job(maxMult)) }
 
 // DLSteps is the number of training steps per measurement (the partitioned
 // variant's first step is persistent-channel warmup).
@@ -228,13 +222,7 @@ func Fig10Job(maxGrid int) Job {
 	return dlJob("fig10", "Fig. 10: deep-learning kernel, four GH200", cluster.OneNodeGH200(), maxGrid)
 }
 
-// Fig10 regenerates Figure 10 through the shared parallel runner.
-func Fig10(maxGrid int) *Table { return RunJob(defaultRunner, Fig10Job(maxGrid)) }
-
 // Fig11Job declares Figure 11: BCE deep-learning kernel on eight GH200.
 func Fig11Job(maxGrid int) Job {
 	return dlJob("fig11", "Fig. 11: deep-learning kernel, eight GH200", cluster.TwoNodeGH200(), maxGrid)
 }
-
-// Fig11 regenerates Figure 11 through the shared parallel runner.
-func Fig11(maxGrid int) *Table { return RunJob(defaultRunner, Fig11Job(maxGrid)) }

@@ -234,17 +234,11 @@ func Fig6Job(maxGrid int) Job {
 	return allreduceJob("fig6", "Fig. 6: allreduce, four GH200 on one node", cluster.OneNodeGH200(), maxGrid)
 }
 
-// Fig6 regenerates Figure 6 through the shared parallel runner.
-func Fig6(maxGrid int) *Table { return RunJob(defaultRunner, Fig6Job(maxGrid)) }
-
 // Fig7Job declares Figure 7: allreduce on eight GH200 (two nodes, ranks
 // 0-3 and 4-7 per node so ring neighbours are placed optimally).
 func Fig7Job(maxGrid int) Job {
 	return allreduceJob("fig7", "Fig. 7: allreduce, eight GH200 on two nodes", cluster.TwoNodeGH200(), maxGrid)
 }
-
-// Fig7 regenerates Figure 7 through the shared parallel runner.
-func Fig7(maxGrid int) *Table { return RunJob(defaultRunner, Fig7Job(maxGrid)) }
 
 // tableIMeasure runs the Table I world once and returns the five measured
 // overheads.
@@ -350,6 +344,3 @@ func TableIJob() Job {
 		},
 	}
 }
-
-// TableI regenerates Table I through the shared parallel runner.
-func TableI() *Table { return RunJob(defaultRunner, TableIJob()) }

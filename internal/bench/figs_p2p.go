@@ -79,9 +79,6 @@ func Fig2Job(maxGrid int) Job {
 
 func fig2ID(g int) string { return "fig2/g=" + itoa(g) }
 
-// Fig2 regenerates Figure 2 through the shared parallel runner.
-func Fig2(maxGrid int) *Table { return RunJob(defaultRunner, Fig2Job(maxGrid)) }
-
 // Fig3Point declares one (signalling level, thread count) measurement of
 // the Figure 3 sweep.
 func Fig3Point(id string, m cluster.Model, level string, threads int) runner.Point {
@@ -136,9 +133,6 @@ func Fig3Job() Job {
 		},
 	}
 }
-
-// Fig3 regenerates Figure 3 through the shared parallel runner.
-func Fig3() *Table { return RunJob(defaultRunner, Fig3Job()) }
 
 // fig3Measure times one signalling level: a single block of `threads`
 // threads marks its partitions ready; the result is signal visibility time
@@ -222,8 +216,8 @@ func (c P2PConfig) model() cluster.Model {
 func bytesOf(grid int) int64 { return int64(grid) * 1024 * 8 }
 
 // TraditionalPoint declares a MeasureTraditional run. Parts is excluded
-// from the key (the traditional path has no partitions), so e.g. the
-// Fig. 4 baseline and cmd/partbench share one computation.
+// from the key (the traditional path has no partitions), so traditional
+// points that differ only in Parts share one computation.
 func TraditionalPoint(id string, cfg P2PConfig) runner.Point {
 	key := runner.KeyOf("p2p/traditional", cfg.Topo, cfg.model(), cfg.Receiver, cfg.Grid)
 	return elapsedPoint(id, key, func() float64 { return float64(MeasureTraditional(cfg)) })
@@ -427,9 +421,6 @@ func Fig4Job(maxGrid int) Job {
 	}
 }
 
-// Fig4 regenerates Figure 4 through the shared parallel runner.
-func Fig4(maxGrid int) *Table { return RunJob(defaultRunner, Fig4Job(maxGrid)) }
-
 // fig5Parts returns the transport partition count Fig. 5 uses at a grid
 // size: two for large kernels, one below that (Section VI-A).
 func fig5Parts(g int) int {
@@ -470,6 +461,3 @@ func Fig5Job(maxGrid int) Job {
 		},
 	}
 }
-
-// Fig5 regenerates Figure 5 through the shared parallel runner.
-func Fig5(maxGrid int) *Table { return RunJob(defaultRunner, Fig5Job(maxGrid)) }

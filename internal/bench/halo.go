@@ -245,9 +245,3 @@ func HaloJob(topo cluster.Topology, maxElems int) Job {
 		},
 	}
 }
-
-// HaloTable sweeps halo sizes for both variants through the shared
-// parallel runner.
-func HaloTable(topo cluster.Topology, maxElems int) *Table {
-	return RunJob(defaultRunner, HaloJob(topo, maxElems))
-}

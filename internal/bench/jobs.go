@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"sort"
+	"sync"
+
 	"mpipart/internal/cluster"
 	"mpipart/internal/mpi"
 	"mpipart/internal/runner"
@@ -43,12 +46,70 @@ func RunJobs(r *runner.Runner, jobs []Job) []*Table {
 	return tables
 }
 
-// defaultRunner backs the legacy one-call entry points (Fig2, Fig4, ...,
-// HaloTable, OSUTable): a process-wide pool at GOMAXPROCS with a shared
-// memo cache, so repeated calls — the test suite, cmd wrappers — reuse
-// earlier results. Determinism makes the shared cache observationally
-// transparent.
-var defaultRunner = runner.New(0)
+// DefaultMaxGrid and DefaultMaxMult are the catalog's sweep caps: the
+// largest kernel grid of Figs. 4–7, 10 and 11, and the largest Jacobi
+// problem multiplier of Figs. 8 and 9.
+const (
+	DefaultMaxGrid = 2048
+	DefaultMaxMult = 32
+)
+
+// fig2MinGrid is Fig. 2's floor on the grid cap: the figure has no data
+// buffers, so the paper's full range is cheap.
+const fig2MinGrid = 131072
+
+// Jobs declares the paper's evaluation at the given sweep caps: Figs. 2–11
+// in order, then Table I.
+func Jobs(maxGrid, maxMult int) []Job {
+	return []Job{
+		Fig2Job(max(maxGrid, fig2MinGrid)), Fig3Job(),
+		Fig4Job(maxGrid), Fig5Job(maxGrid),
+		Fig6Job(maxGrid), Fig7Job(maxGrid),
+		Fig8Job(maxMult), Fig9Job(maxMult),
+		Fig10Job(maxGrid), Fig11Job(maxGrid),
+		TableIJob(),
+	}
+}
+
+// catalog is the point namespace behind Catalog, built once on first use.
+var catalog struct {
+	once sync.Once
+	m    map[string]runner.Point
+}
+
+// Catalog maps every point ID of the default catalog to its point: the
+// gate points (GatePoints(nil)), then every point of
+// Jobs(DefaultMaxGrid, DefaultMaxMult). Gate IDs coincide with the figure
+// points they were drawn from, so a repeated ID is the same point.
+// Construction only builds closures; nothing simulates until a point runs.
+// Callers must not modify the map.
+func Catalog() map[string]runner.Point {
+	catalog.once.Do(func() {
+		m := make(map[string]runner.Point)
+		for _, p := range GatePoints(nil) {
+			m[p.ID] = p
+		}
+		for _, j := range Jobs(DefaultMaxGrid, DefaultMaxMult) {
+			for _, p := range j.Points {
+				if _, ok := m[p.ID]; !ok {
+					m[p.ID] = p
+				}
+			}
+		}
+		catalog.m = m
+	})
+	return catalog.m
+}
+
+// CatalogIDs returns every point ID of Catalog, sorted.
+func CatalogIDs() []string {
+	ids := make([]string, 0, len(Catalog()))
+	for id := range Catalog() {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
 
 // elapsedPoint wraps a measurement returning a single virtual duration
 // into a point with metric "elapsed_ns".

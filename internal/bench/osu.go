@@ -265,9 +265,3 @@ func OSUJob(kind string, topo cluster.Topology, peer, maxElems int) Job {
 		},
 	}
 }
-
-// OSUTable runs the classic size sweep for one metric through the shared
-// parallel runner.
-func OSUTable(kind string, topo cluster.Topology, peer, maxElems int) *Table {
-	return RunJob(defaultRunner, OSUJob(kind, topo, peer, maxElems))
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -106,67 +105,23 @@ func NewServer(cfg Config) *Server {
 	}
 }
 
-// defaultCatalog is the full point namespace served without a model
-// override: every figure and table job at its default sweep caps, plus the
-// benchgate tier-1 subset (whose IDs coincide with the figure points they
-// were drawn from). Construction only builds closures — nothing simulates
-// until a point is requested — so it is done once, lazily.
-var defaultCatalog struct {
-	once sync.Once
-	m    map[string]runner.Point
-}
-
-// catalogJobs mirrors cmd/figures -all at its default caps.
-func catalogJobs() []bench.Job {
-	return []bench.Job{
-		bench.Fig2Job(131072), bench.Fig3Job(),
-		bench.Fig4Job(2048), bench.Fig5Job(2048),
-		bench.Fig6Job(2048), bench.Fig7Job(2048),
-		bench.Fig8Job(32), bench.Fig9Job(32),
-		bench.Fig10Job(2048), bench.Fig11Job(2048),
-		bench.TableIJob(),
-	}
-}
-
 // catalogFor resolves the point set a batch is served from. A nil model
-// selects the shared default catalog; an override rebuilds the
-// model-parameterized gate families under it.
+// selects the shared default catalog (bench.Catalog); an override rebuilds
+// the model-parameterized gate families under it.
 func catalogFor(model *cluster.Model) map[string]runner.Point {
-	if model != nil {
-		pts := bench.GatePoints(model)
-		m := make(map[string]runner.Point, len(pts))
-		for _, p := range pts {
-			m[p.ID] = p
-		}
-		return m
+	if model == nil {
+		return bench.Catalog()
 	}
-	defaultCatalog.once.Do(func() {
-		m := make(map[string]runner.Point)
-		for _, p := range bench.GatePoints(nil) {
-			m[p.ID] = p
-		}
-		for _, j := range catalogJobs() {
-			for _, p := range j.Points {
-				if _, ok := m[p.ID]; !ok {
-					m[p.ID] = p
-				}
-			}
-		}
-		defaultCatalog.m = m
-	})
-	return defaultCatalog.m
+	pts := bench.GatePoints(model)
+	m := make(map[string]runner.Point, len(pts))
+	for _, p := range pts {
+		m[p.ID] = p
+	}
+	return m
 }
 
 // CatalogIDs returns every point ID of the default catalog, sorted.
-func CatalogIDs() []string {
-	cat := catalogFor(nil)
-	ids := make([]string, 0, len(cat))
-	for id := range cat {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func CatalogIDs() []string { return bench.CatalogIDs() }
 
 // Sweep executes one batch and returns per-point results in request order.
 // A no-override batch answers every point already resolved from memory.

@@ -464,23 +464,6 @@ func TestHealthzAndCatalog(t *testing.T) {
 	}
 }
 
-// TestCatalogKeysMatchGateKeys guards the content-addressing contract: a
-// point requested by ID through the daemon must resolve to the same
-// sha256 key the in-process gate uses, or the three modes would not share
-// a cache.
-func TestCatalogKeysMatchGateKeys(t *testing.T) {
-	cat := catalogFor(nil)
-	for _, p := range bench.GatePoints(nil) {
-		got, ok := cat[p.ID]
-		if !ok {
-			t.Fatalf("gate point %q not in catalog", p.ID)
-		}
-		if got.Key != p.Key {
-			t.Fatalf("point %q: catalog key %s != gate key %s", p.ID, got.Key, p.Key)
-		}
-	}
-}
-
 // TestOverflowModelsAnswerPromptly: two override models that once drove
 // virtual time past the int64 range — a 1<<62 ns poll period that wrapped
 // the clock negative and spun sweepd forever, and a near-zero IB bandwidth
