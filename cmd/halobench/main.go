@@ -11,6 +11,8 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
 
 	"mpipart/internal/bench"
@@ -19,15 +21,33 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point; it returns the process exit code:
+// 0 success, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("halobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		nodes   = flag.Int("nodes", 1, "nodes (1 = four GH200 2x2, 2 = eight GH200 4x2)")
-		max     = flag.Int("max", 1<<16, "largest halo size in elements (8 B each)")
-		workers = flag.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
+		nodes   = fs.Int("nodes", 1, "nodes (1 = four GH200 2x2, 2 = eight GH200 4x2)")
+		max     = fs.Int("max", 1<<16, "largest halo size in elements (8 B each)")
+		workers = fs.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
 	)
-	flag.Parse()
-	topo := cluster.OneNodeGH200()
-	if *nodes == 2 {
-		topo = cluster.TwoNodeGH200()
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	bench.RunJob(runner.New(*workers), bench.HaloJob(topo, *max)).Fprint(os.Stdout)
+	var topo cluster.Topology
+	switch *nodes {
+	case 1:
+		topo = cluster.OneNodeGH200()
+	case 2:
+		topo = cluster.TwoNodeGH200()
+	default:
+		fmt.Fprintf(stderr, "halobench: -nodes %d: want 1 or 2\n", *nodes)
+		fs.Usage()
+		return 2
+	}
+	bench.RunJob(runner.New(*workers), bench.HaloJob(topo, *max)).Fprint(stdout)
+	return 0
 }

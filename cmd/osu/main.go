@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mpipart/internal/bench"
@@ -19,22 +20,33 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point; it returns the process exit code:
+// 0 success, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("osu", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		kind    = flag.String("kind", "latency", "latency | bw | bibw | platency")
-		inter   = flag.Bool("inter", false, "inter-node instead of intra-node")
-		max     = flag.Int("max", 1<<16, "largest message size in elements (8 B each)")
-		workers = flag.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
+		kind    = fs.String("kind", "latency", "latency | bw | bibw | platency")
+		inter   = fs.Bool("inter", false, "inter-node instead of intra-node")
+		max     = fs.Int("max", 1<<16, "largest message size in elements (8 B each)")
+		workers = fs.Int("workers", 0, "parallel sweep workers; 0 = GOMAXPROCS")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	topo, peer := cluster.OneNodeGH200(), 1
 	if *inter {
 		topo, peer = cluster.TwoNodeGH200(), 4
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "osu: %v\n", r)
-			os.Exit(1)
-		}
-	}()
-	bench.RunJob(runner.New(*workers), bench.OSUJob(*kind, topo, peer, *max)).Fprint(os.Stdout)
+	job, err := bench.OSUJob(*kind, topo, peer, *max)
+	if err != nil {
+		fmt.Fprintf(stderr, "osu: %v\n", err)
+		fs.Usage()
+		return 2
+	}
+	bench.RunJob(runner.New(*workers), job).Fprint(stdout)
+	return 0
 }

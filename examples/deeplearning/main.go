@@ -17,6 +17,7 @@ import (
 	"log"
 	"math"
 
+	"mpipart/internal/bench"
 	"mpipart/internal/cluster"
 	"mpipart/internal/dl"
 	"mpipart/internal/mpi"
@@ -29,12 +30,12 @@ func main() {
 
 	type variant struct {
 		name string
-		run  func(r *mpi.Rank, comm *nccl.Comm) dl.Stats
+		run  func(r *mpi.Rank, comm *nccl.Comm, cfg dl.Config) dl.Stats
 	}
 	variants := []variant{
-		{"MPI_Allreduce", func(r *mpi.Rank, _ *nccl.Comm) dl.Stats { return dl.MPIAllreduce(r, cfg) }},
-		{"partitioned", func(r *mpi.Rank, _ *nccl.Comm) dl.Stats { return dl.PartitionedAllreduce(r, cfg) }},
-		{"NCCL", func(r *mpi.Rank, c *nccl.Comm) dl.Stats { return dl.NCCLAllreduce(r, c, cfg) }},
+		{"MPI_Allreduce", func(r *mpi.Rank, _ *nccl.Comm, c dl.Config) dl.Stats { return dl.MPIAllreduce(r, c) }},
+		{"partitioned", func(r *mpi.Rank, _ *nccl.Comm, c dl.Config) dl.Stats { return dl.PartitionedAllreduce(r, c) }},
+		{"NCCL", dl.NCCLAllreduce},
 	}
 
 	fmt.Printf("BCE training: %.1f MiB gradients, %d GPUs, %d steps\n",
@@ -42,18 +43,7 @@ func main() {
 
 	var sums []float64
 	for _, v := range variants {
-		w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-		comm := nccl.NewComm(w)
-		var st dl.Stats
-		w.Spawn(func(r *mpi.Rank) {
-			s := v.run(r, comm)
-			if r.ID == 0 {
-				st = s
-			}
-		})
-		if err := w.Run(); err != nil {
-			log.Fatalf("%s: %v", v.name, err)
-		}
+		st := bench.MeasureDL(topo, cfg, v.run)
 		fmt.Printf("%-14s %12.3f us/step   final weight sum %.9f\n",
 			v.name, st.StepTime.Micros(), st.WeightSum)
 		sums = append(sums, st.WeightSum)

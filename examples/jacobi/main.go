@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"mpipart/internal/bench"
 	"mpipart/internal/cluster"
 	"mpipart/internal/jacobi"
 	"mpipart/internal/mpi"
@@ -23,17 +24,7 @@ func main() {
 	cfg := jacobi.Config{PX: px, PY: py, NX: 128, NY: 128, Iters: 10}
 
 	runVariant := func(name string, fn func(*mpi.Rank, jacobi.Config) jacobi.Stats) jacobi.Stats {
-		w := mpi.NewWorld(topo, cluster.DefaultModel(), 1)
-		var st jacobi.Stats
-		w.Spawn(func(r *mpi.Rank) {
-			s := fn(r, cfg)
-			if r.ID == 0 {
-				st = s
-			}
-		})
-		if err := w.Run(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
+		st := bench.MeasureJacobi(topo, cfg, fn)
 		fmt.Printf("%-12s %8.2f GFLOP/s  (%.3f ms for %d sweeps)\n",
 			name, st.GFLOPs, st.Elapsed.Seconds()*1e3, cfg.Iters)
 		return st

@@ -27,6 +27,10 @@ import (
 // EXPERIMENTS.md relies on. Each pass gets a fresh runner, so the second
 // simulates everything again instead of replaying the first from memory.
 func TestWholeStackDeterminism(t *testing.T) {
+	osu, err := bench.OSUJob("latency", cluster.OneNodeGH200(), 1, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	render := func() string {
 		r := runner.New(0)
 		var buf bytes.Buffer
@@ -34,7 +38,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 			bench.Fig3Job(),
 			bench.Fig4Job(16),
 			bench.TableIJob(),
-			bench.OSUJob("latency", cluster.OneNodeGH200(), 1, 256),
+			osu,
 		} {
 			bench.RunJob(r, j).Fprint(&buf)
 		}

@@ -317,17 +317,17 @@ func TestPartitionedLatencySteadyState(t *testing.T) {
 
 func TestOSUTableKinds(t *testing.T) {
 	for _, kind := range []string{"latency", "bw", "bibw", "platency"} {
-		tb := RunJob(testRunner, OSUJob(kind, cluster.OneNodeGH200(), 1, 64))
-		if len(tb.Rows) == 0 {
+		j, err := OSUJob(kind, cluster.OneNodeGH200(), 1, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb := RunJob(testRunner, j); len(tb.Rows) == 0 {
 			t.Fatalf("%s produced no rows", kind)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown kind should panic")
-		}
-	}()
-	OSUJob("nope", cluster.OneNodeGH200(), 1, 4)
+	if _, err := OSUJob("nope", cluster.OneNodeGH200(), 1, 4); err == nil {
+		t.Fatal("unknown kind should be an error")
+	}
 }
 
 func TestHaloNeighbours(t *testing.T) {

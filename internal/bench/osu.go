@@ -202,50 +202,54 @@ func PartitionedLatency(topo cluster.Topology, peer, n, parts, iters int) sim.Du
 	return total
 }
 
+// osuKinds is the one list of OSU kinds: per kind, its table columns,
+// whether metric "value" is virtual nanoseconds (printed as µs) rather than
+// a rate, the smallest size swept, and the measurement at n elements.
+var osuKinds = map[string]struct {
+	cols     []string
+	nsValue  bool
+	minElems int
+	measure  func(topo cluster.Topology, peer, n int) float64
+}{
+	"latency": {[]string{"bytes", "latency_us"}, true, 1, func(topo cluster.Topology, peer, n int) float64 {
+		return float64(Pingpong(topo, peer, n, 10))
+	}},
+	"bw": {[]string{"bytes", "GBps"}, false, 1, func(topo cluster.Topology, peer, n int) float64 {
+		return Bandwidth(topo, peer, n, 16, 4)
+	}},
+	"bibw": {[]string{"bytes", "GBps"}, false, 1, func(topo cluster.Topology, peer, n int) float64 {
+		return BiBandwidth(topo, peer, n, 16, 4)
+	}},
+	"platency": {[]string{"bytes", "epoch_us"}, true, 4, func(topo cluster.Topology, peer, n int) float64 {
+		return float64(PartitionedLatency(topo, peer, n, 4, 10))
+	}},
+}
+
 // OSUPoint declares one OSU measurement of the given kind at message size
 // n (elements). Metric "value" carries the kind's natural unit: virtual
-// nanoseconds for latency/platency, GB/s for bw/bibw.
+// nanoseconds for latency/platency, GB/s for bw/bibw. An unknown kind
+// panics; OSUJob is the checked entry point.
 func OSUPoint(id, kind string, topo cluster.Topology, peer, n int) runner.Point {
-	model := cluster.DefaultModel()
-	key := runner.KeyOf("osu/"+kind, topo, model, peer, n)
-	var measure func() float64
-	switch kind {
-	case "latency":
-		measure = func() float64 { return float64(Pingpong(topo, peer, n, 10)) }
-	case "bw":
-		measure = func() float64 { return Bandwidth(topo, peer, n, 16, 4) }
-	case "bibw":
-		measure = func() float64 { return BiBandwidth(topo, peer, n, 16, 4) }
-	case "platency":
-		measure = func() float64 { return float64(PartitionedLatency(topo, peer, n, 4, 10)) }
-	default:
+	k, ok := osuKinds[kind]
+	if !ok {
 		panic("bench: unknown OSU kind " + kind)
 	}
+	key := runner.KeyOf("osu/"+kind, topo, cluster.DefaultModel(), peer, n)
 	return runner.Point{ID: id, Key: key, Run: func() runner.Metrics {
-		return runner.Metrics{"value": measure()}
+		return runner.Metrics{"value": k.measure(topo, peer, n)}
 	}}
 }
 
-// OSUJob declares the classic size sweep for one metric.
-func OSUJob(kind string, topo cluster.Topology, peer, maxElems int) Job {
-	var cols []string
-	nsValue := false // "value" is virtual ns (printed as µs) vs a raw rate
-	minElems := 1
-	switch kind {
-	case "latency":
-		cols, nsValue = []string{"bytes", "latency_us"}, true
-	case "bw":
-		cols = []string{"bytes", "GBps"}
-	case "bibw":
-		cols = []string{"bytes", "GBps"}
-	case "platency":
-		cols, nsValue, minElems = []string{"bytes", "epoch_us"}, true, 4
-	default:
-		panic("bench: unknown OSU kind " + kind)
+// OSUJob declares the classic size sweep for one metric, or reports an
+// unknown kind.
+func OSUJob(kind string, topo cluster.Topology, peer, maxElems int) (Job, error) {
+	k, ok := osuKinds[kind]
+	if !ok {
+		return Job{}, fmt.Errorf("unknown OSU kind %q", kind)
 	}
 	var points []runner.Point
 	var sizes []int
-	for n := minElems; n <= maxElems; n *= 4 {
+	for n := k.minElems; n <= maxElems; n *= 4 {
 		sizes = append(sizes, n)
 		points = append(points, OSUPoint(fmt.Sprintf("osu_%s/n=%d", kind, n), kind, topo, peer, n))
 	}
@@ -253,15 +257,15 @@ func OSUJob(kind string, topo cluster.Topology, peer, maxElems int) Job {
 		Name:   "osu_" + kind,
 		Points: points,
 		Build: func(ms []runner.Metrics) *Table {
-			tb := &Table{Title: "osu_" + kind, Columns: cols}
+			tb := &Table{Title: "osu_" + kind, Columns: k.cols}
 			for i, n := range sizes {
 				v := ms[i]["value"]
-				if nsValue {
+				if k.nsValue {
 					v /= 1000
 				}
 				tb.AddRow(8*n, v)
 			}
 			return tb
 		},
-	}
+	}, nil
 }

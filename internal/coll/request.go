@@ -22,19 +22,12 @@ type Request struct {
 	Sched *Schedule
 	Op    mpi.ReduceOp
 
-	buf     []float64
-	up      int // user partitions
-	upViews [][]float64
-	// recvBuf is where non-reducing arrivals land; it equals buf for
-	// in-place collectives and is distinct for all-to-all.
-	recvBuf     []float64
-	recvUpViews [][]float64
-	// chunkTab/chunkTabIn are the [u][ch] chunk views of the send and
-	// receive buffers, precomputed at init: Progress resolves a view per
-	// arrival, and rebuilding the partition table each call allocated in the
-	// progression hot path.
-	chunkTab   [][][]float64
-	chunkTabIn [][][]float64
+	buf []float64
+	up  int // user partitions
+	// chunkTab holds the [u][ch] chunk views of the buffer, precomputed at
+	// init: Progress resolves a view per arrival, and rebuilding the
+	// partition table each call allocated in the progression hot path.
+	chunkTab [][][]float64
 
 	sends map[int]*core.SendRequest
 	recvs map[int]*core.RecvRequest
@@ -78,10 +71,6 @@ type Request struct {
 	tDone     func(didWork, stillActive bool)
 	fnReduced sim.TaskFn
 	fnSent    sim.TaskFn
-	// selfCopy copies the rank's own chunk from the send to the receive
-	// buffer when a user partition completes (all-to-all keeps the local
-	// chunk out of the network).
-	selfCopy bool
 
 	// devHandle is the device-side collective handle, if created.
 	devHandle *DeviceColl
@@ -122,58 +111,27 @@ func PallgatherInit(p *sim.Proc, r *mpi.Rank, buf []float64, userParts int) *Req
 	return InitWithSchedule(p, r, buf, userParts, mpi.OpSum, RingAllgatherSchedule(r.ID, r.W.Size()))
 }
 
-// PreduceScatterInit is MPIX_Preduce_scatter_init (equal block sizes): a
-// ring reduce-scatter after which this rank owns the fully reduced chunk
-// OwnedChunk(rank, P) of each user partition.
-func PreduceScatterInit(p *sim.Proc, r *mpi.Rank, buf []float64, userParts int, op mpi.ReduceOp) *Request {
-	return InitWithSchedule(p, r, buf, userParts, op, RingReduceScatterSchedule(r.ID, r.W.Size()))
-}
-
 // PscanInit is MPIX_Pscan_init: an inclusive prefix scan along the rank
 // order (rank r ends with op over ranks 0..r), accumulated in place.
 func PscanInit(p *sim.Proc, r *mpi.Rank, buf []float64, userParts int, op mpi.ReduceOp) *Request {
 	return InitWithSchedule(p, r, buf, userParts, op, LinearScanSchedule(r.ID, r.W.Size()))
 }
 
-// PalltoallInit is MPIX_Palltoall_init: a pairwise exchange where chunk d
-// of sendBuf goes to rank d and recvBuf chunk s receives rank s's
-// contribution. The buffers must be distinct (the exchange cannot run in
-// place); the rank's own chunk is copied locally when the schedule
-// completes.
-func PalltoallInit(p *sim.Proc, r *mpi.Rank, sendBuf, recvBuf []float64, userParts int) *Request {
-	c := InitWithScheduleBuffers(p, r, sendBuf, recvBuf, userParts, mpi.OpSum,
-		PairwiseAlltoallSchedule(r.ID, r.W.Size()))
-	c.selfCopy = true
-	return c
-}
-
 // InitWithSchedule builds an in-place collective request from any valid
 // schedule — the generalization the paper argues for, since at least 21
 // collectives would otherwise each need a bespoke implementation.
 func InitWithSchedule(p *sim.Proc, r *mpi.Rank, buf []float64, userParts int, op mpi.ReduceOp, sched *Schedule) *Request {
-	return InitWithScheduleBuffers(p, r, buf, buf, userParts, op, sched)
-}
-
-// InitWithScheduleBuffers is InitWithSchedule with a distinct receive
-// buffer: sends and reductions use sendBuf, non-reducing arrivals land in
-// recvBuf. All-to-all requires the split; in-place collectives pass the
-// same slice twice.
-func InitWithScheduleBuffers(p *sim.Proc, r *mpi.Rank, sendBuf, recvBuf []float64, userParts int, op mpi.ReduceOp, sched *Schedule) *Request {
 	if err := sched.Validate(); err != nil {
 		panic(err)
 	}
 	if userParts <= 0 {
 		panic("coll: user partition count must be positive")
 	}
-	if len(recvBuf) != len(sendBuf) {
-		panic("coll: send and receive buffers must have equal length")
-	}
 	c := &Request{
 		R:         r,
 		Sched:     sched,
 		Op:        op,
-		buf:       sendBuf,
-		recvBuf:   recvBuf,
+		buf:       buf,
 		up:        userParts,
 		sends:     map[int]*core.SendRequest{},
 		recvs:     map[int]*core.RecvRequest{},
@@ -181,13 +139,9 @@ func InitWithScheduleBuffers(p *sim.Proc, r *mpi.Rank, sendBuf, recvBuf []float6
 		userReady: make([]bool, userParts),
 		states:    make([]upState, userParts),
 	}
-	c.upViews = core.EqualPartitions(sendBuf, userParts)
-	c.recvUpViews = core.EqualPartitions(recvBuf, userParts)
 	c.chunkTab = make([][][]float64, userParts)
-	c.chunkTabIn = make([][][]float64, userParts)
-	for u := 0; u < userParts; u++ {
-		c.chunkTab[u] = core.EqualPartitions(c.upViews[u], sched.Chunks)
-		c.chunkTabIn[u] = core.EqualPartitions(c.recvUpViews[u], sched.Chunks)
+	for u, view := range core.EqualPartitions(buf, userParts) {
+		c.chunkTab[u] = core.EqualPartitions(view, sched.Chunks)
 	}
 	c.userPending = gpu.NewFlagsShared(fmt.Sprintf("collready@%d", r.ID), userParts, r.Worker.Cond())
 
@@ -245,7 +199,7 @@ func InitWithScheduleBuffers(p *sim.Proc, r *mpi.Rank, sendBuf, recvBuf []float6
 		stag := make([][]float64, userParts*uses)
 		for u := 0; u < userParts; u++ {
 			for use := 0; use < uses; use++ {
-				view := c.chunkViewIn(u, recvChunk[nbr][use])
+				view := c.chunkView(u, recvChunk[nbr][use])
 				if recvReduce[nbr][use] {
 					stag[u*uses+use] = r.Dev.Alloc(len(view))
 					view = stag[u*uses+use]
@@ -275,16 +229,10 @@ func nextCollSeq(r *mpi.Rank) int {
 	return seq
 }
 
-// chunkView returns the send-buffer view of chunk ch of user partition u,
-// using the same nearly-equal splitting at both levels on every rank.
+// chunkView returns the view of chunk ch of user partition u, using the
+// same nearly-equal splitting at both levels on every rank.
 func (c *Request) chunkView(u, ch int) []float64 {
 	return c.chunkTab[u][ch]
-}
-
-// chunkViewIn is chunkView over the receive buffer (identical for in-place
-// collectives).
-func (c *Request) chunkViewIn(u, ch int) []float64 {
-	return c.chunkTabIn[u][ch]
 }
 
 // UserPartitions returns the user partition count.
@@ -466,9 +414,6 @@ func (c *Request) next() walkAct {
 			c.armStep(st)
 			c.wIn, c.wDid = -1, true
 			if st.step == len(c.Sched.Steps) {
-				if c.selfCopy && !c.R.W.K.TimingOnly() {
-					copy(c.chunkViewIn(up, c.Sched.Rank), c.chunkView(up, c.Sched.Rank))
-				}
 				c.doneUPs++
 			}
 		}
@@ -692,17 +637,4 @@ func (c *Request) checkUsable() {
 	if c.freed {
 		panic("coll: use of freed collective request")
 	}
-}
-
-// PgatherInit is MPIX_Pgather_init (equal chunk sizes, in place): chunk r
-// of the buffer is rank r's contribution; the root ends up with all of
-// them.
-func PgatherInit(p *sim.Proc, r *mpi.Rank, buf []float64, userParts, root int) *Request {
-	return InitWithSchedule(p, r, buf, userParts, mpi.OpSum, LinearGatherSchedule(r.ID, r.W.Size(), root))
-}
-
-// PscatterInit is MPIX_Pscatter_init (equal chunk sizes, in place): the
-// root's chunk d lands in chunk d of rank d's buffer.
-func PscatterInit(p *sim.Proc, r *mpi.Rank, buf []float64, userParts, root int) *Request {
-	return InitWithSchedule(p, r, buf, userParts, mpi.OpSum, LinearScatterSchedule(r.ID, r.W.Size(), root))
 }

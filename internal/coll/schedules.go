@@ -4,8 +4,8 @@ package coll
 // The paper's motivation for a generic schedule is that the MPI Forum
 // proposals contain at least 21 partitioned collectives, far too many for
 // bespoke implementations; these builders demonstrate the claim: reduce,
-// allgather, reduce-scatter, scan, and all-to-all all compile to the same
-// step structure Algorithm 2 progresses.
+// allgather and scan compile to the same step structure Algorithm 2
+// progresses.
 
 // BinomialReduceSchedule builds a binomial-tree reduction toward root:
 // at step s, every rank whose rotated id has bit 2^s set forwards its
@@ -49,7 +49,7 @@ func BinomialReduceSchedule(rank, P, root int) *Schedule {
 // RingAllgatherSchedule builds the ring allgather: the buffer holds P
 // chunks; rank r contributes chunk r and forwards what it received on each
 // of the P-1 steps. All steps are NOPs with direct writes into the buffer,
-// so the collective must run in place (send and receive buffer identical).
+// so the collective runs in place.
 func RingAllgatherSchedule(rank, P int) *Schedule {
 	if P < 2 {
 		panic("coll: allgather needs P >= 2")
@@ -73,39 +73,6 @@ func RingAllgatherSchedule(rank, P int) *Schedule {
 	}
 	return s
 }
-
-// RingReduceScatterSchedule builds the reduce-scatter half of the ring
-// allreduce: P-1 reducing steps after which rank r holds the fully reduced
-// chunk (r+1) mod P. The rest of the buffer contains partial sums
-// (in-place ring reduce-scatter semantics).
-func RingReduceScatterSchedule(rank, P int) *Schedule {
-	if P < 2 {
-		panic("coll: reduce-scatter needs P >= 2")
-	}
-	steps := P - 1
-	prev := (rank - 1 + P) % P
-	next := (rank + 1) % P
-	s := &Schedule{
-		Rank:     rank,
-		P:        P,
-		Chunks:   P,
-		SendUses: map[int]int{next: steps},
-		RecvUses: map[int]int{prev: steps},
-	}
-	for i := 0; i < steps; i++ {
-		s.Steps = append(s.Steps, Step{
-			Out:       []EdgeUse{{Nbr: next, Use: i, Chunk: (rank + 2*P - i) % P}},
-			In:        []EdgeUse{{Nbr: prev, Use: i, Chunk: (rank + 2*P - i - 1) % P}},
-			Reduce:    true,
-			LocalData: i == 0,
-		})
-	}
-	return s
-}
-
-// OwnedChunk returns the chunk index rank r owns (fully reduced) after a
-// ring reduce-scatter.
-func OwnedChunk(rank, P int) int { return (rank + 1) % P }
 
 // LinearScanSchedule builds an inclusive prefix scan along the rank chain:
 // rank r receives the prefix of ranks 0..r-1 from r-1 at step r-1 (reduced
@@ -137,104 +104,5 @@ func LinearScanSchedule(rank, P int) *Schedule {
 		}
 		s.Steps = append(s.Steps, st)
 	}
-	return s
-}
-
-// PairwiseAlltoallSchedule builds the ring-offset pairwise exchange: at
-// step i, rank r sends its chunk (r+i+1) mod P to rank (r+i+1) mod P and
-// receives chunk (r-i-1) mod P from rank (r-i-1) mod P. Every send carries
-// locally produced data, and arrivals land in the *receive* buffer (the
-// collective cannot run in place — use PalltoallInit).
-func PairwiseAlltoallSchedule(rank, P int) *Schedule {
-	if P < 2 {
-		panic("coll: alltoall needs P >= 2")
-	}
-	s := &Schedule{
-		Rank:     rank,
-		P:        P,
-		Chunks:   P,
-		SendUses: map[int]int{},
-		RecvUses: map[int]int{},
-	}
-	for i := 0; i < P-1; i++ {
-		to := (rank + i + 1) % P
-		from := (rank - i - 1 + P) % P
-		s.SendUses[to] = 1
-		s.RecvUses[from] = 1
-		s.Steps = append(s.Steps, Step{
-			Out:       []EdgeUse{{Nbr: to, Use: 0, Chunk: to}},
-			In:        []EdgeUse{{Nbr: from, Use: 0, Chunk: from}},
-			LocalData: true,
-		})
-	}
-	return s
-}
-
-// LinearGatherSchedule builds a flat gather to root: every non-root rank
-// sends its own chunk (index = its rank) straight to the root in one step;
-// the root collects P-1 chunks. Chunk r of the buffer is rank r's
-// contribution, so the collective runs in place on the root.
-func LinearGatherSchedule(rank, P, root int) *Schedule {
-	if P < 2 {
-		panic("coll: gather needs P >= 2")
-	}
-	s := &Schedule{
-		Rank:     rank,
-		P:        P,
-		Chunks:   P,
-		SendUses: map[int]int{},
-		RecvUses: map[int]int{},
-	}
-	if rank == root {
-		var st Step
-		for src := 0; src < P; src++ {
-			if src == root {
-				continue
-			}
-			st.In = append(st.In, EdgeUse{Nbr: src, Use: 0, Chunk: src})
-			s.RecvUses[src] = 1
-		}
-		s.Steps = []Step{st}
-		return s
-	}
-	s.SendUses[root] = 1
-	s.Steps = []Step{{
-		Out:       []EdgeUse{{Nbr: root, Use: 0, Chunk: rank}},
-		LocalData: true,
-	}}
-	return s
-}
-
-// LinearScatterSchedule builds a flat scatter from root: the root sends
-// chunk d of its buffer to rank d; every other rank receives its chunk into
-// position d of its own buffer (the rest of the buffer is untouched).
-func LinearScatterSchedule(rank, P, root int) *Schedule {
-	if P < 2 {
-		panic("coll: scatter needs P >= 2")
-	}
-	s := &Schedule{
-		Rank:     rank,
-		P:        P,
-		Chunks:   P,
-		SendUses: map[int]int{},
-		RecvUses: map[int]int{},
-	}
-	if rank == root {
-		var st Step
-		st.LocalData = true
-		for dst := 0; dst < P; dst++ {
-			if dst == root {
-				continue
-			}
-			st.Out = append(st.Out, EdgeUse{Nbr: dst, Use: 0, Chunk: dst})
-			s.SendUses[dst] = 1
-		}
-		s.Steps = []Step{st}
-		return s
-	}
-	s.RecvUses[root] = 1
-	s.Steps = []Step{{
-		In: []EdgeUse{{Nbr: root, Use: 0, Chunk: rank}},
-	}}
 	return s
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // runCollective executes one collective SPMD on the topology and returns
-// every rank's final buffer (recvBuf for all-to-all).
+// every rank's final buffer.
 func runCollective(t *testing.T, topo cluster.Topology, n, up int,
 	build func(r *mpi.Rank) (*Request, []float64),
 	ready func(r *mpi.Rank, req *Request)) [][]float64 {
@@ -48,12 +48,10 @@ func TestNewScheduleBuildersValidate(t *testing.T) {
 	for _, P := range []int{2, 3, 4, 5, 8} {
 		for rank := 0; rank < P; rank++ {
 			for name, s := range map[string]*Schedule{
-				"reduce":        BinomialReduceSchedule(rank, P, 0),
-				"reduce-root2":  BinomialReduceSchedule(rank, P, P-1),
-				"allgather":     RingAllgatherSchedule(rank, P),
-				"reducescatter": RingReduceScatterSchedule(rank, P),
-				"scan":          LinearScanSchedule(rank, P),
-				"alltoall":      PairwiseAlltoallSchedule(rank, P),
+				"reduce":       BinomialReduceSchedule(rank, P, 0),
+				"reduce-root2": BinomialReduceSchedule(rank, P, P-1),
+				"allgather":    RingAllgatherSchedule(rank, P),
+				"scan":         LinearScanSchedule(rank, P),
 			} {
 				if err := s.Validate(); err != nil {
 					t.Fatalf("%s P=%d rank=%d: %v", name, P, rank, err)
@@ -206,33 +204,6 @@ func TestPallgather(t *testing.T) {
 	}
 }
 
-func TestPreduceScatter(t *testing.T) {
-	P := 4
-	chunkLen := 4
-	n := P * chunkLen
-	res := runCollective(t, cluster.OneNodeGH200(), n, 1,
-		func(r *mpi.Rank) (*Request, []float64) {
-			buf := r.Dev.Alloc(n)
-			for i := range buf {
-				buf[i] = float64((r.ID + 2) * (i + 1))
-			}
-			return PreduceScatterInit(r.Proc(), r, buf, 1, mpi.OpSum), buf
-		}, allReady)
-	for rk := 0; rk < P; rk++ {
-		own := OwnedChunk(rk, P)
-		for j := 0; j < chunkLen; j++ {
-			i := own*chunkLen + j
-			want := 0.0
-			for s := 0; s < P; s++ {
-				want += float64((s + 2) * (i + 1))
-			}
-			if !close64(res[rk][i], want) {
-				t.Fatalf("rank %d owned elem %d = %v, want %v", rk, i, res[rk][i], want)
-			}
-		}
-	}
-}
-
 func TestPscanInclusive(t *testing.T) {
 	const n = 12
 	res := runCollective(t, cluster.TwoNodeGH200(), n, 2,
@@ -253,59 +224,6 @@ func TestPscanInclusive(t *testing.T) {
 				t.Fatalf("rank %d elem %d = %v, want %v", rk, i, res[rk][i], want)
 			}
 		}
-	}
-}
-
-func TestPalltoall(t *testing.T) {
-	P := 4
-	chunkLen := 2
-	n := P * chunkLen
-	w := mpi.NewWorld(cluster.OneNodeGH200(), cluster.DefaultModel(), 1)
-	results := make([][]float64, P)
-	w.Spawn(func(r *mpi.Rank) {
-		p := r.Proc()
-		sendBuf := r.Dev.Alloc(n)
-		recvBuf := r.Dev.Alloc(n)
-		for d := 0; d < P; d++ {
-			for j := 0; j < chunkLen; j++ {
-				sendBuf[d*chunkLen+j] = float64(100*r.ID + 10*d + j)
-			}
-		}
-		req := PalltoallInit(p, r, sendBuf, recvBuf, 1)
-		req.Start(p)
-		req.PbufPrepare(p)
-		req.Pready(p, 0)
-		req.Wait(p)
-		results[r.ID] = append([]float64(nil), recvBuf...)
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for rk := 0; rk < P; rk++ {
-		for s := 0; s < P; s++ {
-			for j := 0; j < chunkLen; j++ {
-				want := float64(100*s + 10*rk + j) // rank s's chunk destined to rk
-				got := results[rk][s*chunkLen+j]
-				if got != want {
-					t.Fatalf("rank %d chunk %d elem %d = %v, want %v", rk, s, j, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestPalltoallRejectsLengthMismatch(t *testing.T) {
-	w := mpi.NewWorld(cluster.OneNodeGH200(), cluster.DefaultModel(), 1)
-	w.Spawn(func(r *mpi.Rank) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for mismatched buffers")
-			}
-		}()
-		PalltoallInit(r.Proc(), r, make([]float64, 8), make([]float64, 4), 1)
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -375,16 +293,90 @@ func TestPreduceProperty(t *testing.T) {
 	}
 }
 
+// ---- multi-edge steps ----
+//
+// No production schedule has a step with more than one edge, so these
+// test-local flat gather and scatter schedules keep the walk over several
+// arrivals (the gather root) and several sends (the scatter root) in one
+// step covered.
+
+// fanInSchedule is a flat gather to root: every non-root rank sends its own
+// chunk (index = its rank) straight to the root in one step, and the root
+// collects all P-1 chunks in a single step.
+func fanInSchedule(rank, P, root int) *Schedule {
+	s := &Schedule{
+		Rank:     rank,
+		P:        P,
+		Chunks:   P,
+		SendUses: map[int]int{},
+		RecvUses: map[int]int{},
+	}
+	if rank == root {
+		var st Step
+		for src := 0; src < P; src++ {
+			if src == root {
+				continue
+			}
+			st.In = append(st.In, EdgeUse{Nbr: src, Use: 0, Chunk: src})
+			s.RecvUses[src] = 1
+		}
+		s.Steps = []Step{st}
+		return s
+	}
+	s.SendUses[root] = 1
+	s.Steps = []Step{{
+		Out:       []EdgeUse{{Nbr: root, Use: 0, Chunk: rank}},
+		LocalData: true,
+	}}
+	return s
+}
+
+// fanOutSchedule is a flat scatter from root: the root sends chunk d of its
+// buffer to rank d in a single step; every other rank receives its chunk
+// into position d of its own buffer.
+func fanOutSchedule(rank, P, root int) *Schedule {
+	s := &Schedule{
+		Rank:     rank,
+		P:        P,
+		Chunks:   P,
+		SendUses: map[int]int{},
+		RecvUses: map[int]int{},
+	}
+	if rank == root {
+		st := Step{LocalData: true}
+		for dst := 0; dst < P; dst++ {
+			if dst == root {
+				continue
+			}
+			st.Out = append(st.Out, EdgeUse{Nbr: dst, Use: 0, Chunk: dst})
+			s.SendUses[dst] = 1
+		}
+		s.Steps = []Step{st}
+		return s
+	}
+	s.RecvUses[root] = 1
+	s.Steps = []Step{{
+		In: []EdgeUse{{Nbr: root, Use: 0, Chunk: rank}},
+	}}
+	return s
+}
+
 func TestGatherScatterSchedulesValidate(t *testing.T) {
 	for _, P := range []int{2, 3, 4, 8} {
 		for _, root := range []int{0, P - 1} {
 			for rank := 0; rank < P; rank++ {
-				if err := LinearGatherSchedule(rank, P, root).Validate(); err != nil {
+				if err := fanInSchedule(rank, P, root).Validate(); err != nil {
 					t.Fatalf("gather P=%d root=%d rank=%d: %v", P, root, rank, err)
 				}
-				if err := LinearScatterSchedule(rank, P, root).Validate(); err != nil {
+				if err := fanOutSchedule(rank, P, root).Validate(); err != nil {
 					t.Fatalf("scatter P=%d root=%d rank=%d: %v", P, root, rank, err)
 				}
+			}
+			if n := len(fanInSchedule(root, P, root).Steps[0].In); n != P-1 {
+				t.Fatalf("gather P=%d root step has %d arrivals, want %d", P, n, P-1)
+			}
+			if n := len(fanOutSchedule(root, P, root).Steps[0].Out); n != P-1 {
+				t.Fatalf("scatter P=%d root step has %d sends, want %d", P, n, P-1)
 			}
 		}
 	}
@@ -401,7 +393,7 @@ func TestPgather(t *testing.T) {
 			for j := 0; j < chunkLen; j++ {
 				buf[r.ID*chunkLen+j] = float64(100*r.ID + j)
 			}
-			return PgatherInit(r.Proc(), r, buf, 1, root), buf
+			return InitWithSchedule(r.Proc(), r, buf, 1, mpi.OpSum, fanInSchedule(r.ID, P, root)), buf
 		}, allReady)
 	for c := 0; c < P; c++ {
 		for j := 0; j < chunkLen; j++ {
@@ -426,8 +418,7 @@ func TestPscatter(t *testing.T) {
 					buf[i] = float64(1000 + i)
 				}
 			}
-			req := PscatterInit(r.Proc(), r, buf, 1, root)
-			return req, buf
+			return InitWithSchedule(r.Proc(), r, buf, 1, mpi.OpSum, fanOutSchedule(r.ID, P, root)), buf
 		}, func(r *mpi.Rank, req *Request) {
 			if r.ID == root {
 				allReady(r, req)
@@ -453,7 +444,7 @@ func TestPgatherTwoNodes(t *testing.T) {
 		func(r *mpi.Rank) (*Request, []float64) {
 			buf := r.Dev.Alloc(n)
 			buf[r.ID] = float64(r.ID + 1)
-			return PgatherInit(r.Proc(), r, buf, 1, 0), buf
+			return InitWithSchedule(r.Proc(), r, buf, 1, mpi.OpSum, fanInSchedule(r.ID, P, 0)), buf
 		}, allReady)
 	for c := 0; c < P; c++ {
 		if res[0][c] != float64(c+1) {

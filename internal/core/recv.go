@@ -150,9 +150,6 @@ func (rr *RecvRequest) PbufPrepare(p *sim.Proc) {
 	rr.R.Worker.AMSend(ucx.WorkerAddr(rr.Src), amRTR, rtrMsg{Key: rr.Key, Epoch: rr.epoch}, 48)
 }
 
-// Prepared reports whether registration and the rkey response have happened.
-func (rr *RecvRequest) Prepared() bool { return rr.prepared }
-
 // Parrived is the host binding of MPI_Parrived: poll the receive-side
 // completion flag of one partition.
 func (rr *RecvRequest) Parrived(part int) bool {

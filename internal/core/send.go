@@ -200,9 +200,6 @@ func (s *SendRequest) PbufPrepare(p *sim.Proc) {
 	})
 }
 
-// Prepared reports whether the rkey exchange has completed.
-func (s *SendRequest) Prepared() bool { return s.prepared }
-
 // Pready is the host binding of MPI_Pready: mark partition part ready and
 // transfer it. It issues the ucp_put_nbx of the partition data using the
 // parameters pre-populated at init time, with a chained put attached to the
@@ -264,9 +261,6 @@ func (s *SendRequest) markIssued(part int) {
 	s.issued[part] = true
 	s.nIssued++
 }
-
-// Issued reports whether partition part has been marked ready this epoch.
-func (s *SendRequest) Issued(part int) bool { return s.issued[part] }
 
 // Progress implements mpi.Progressor: it converts device-side MPIX_Pready
 // notifications (flags in pinned host memory) into host-side transfers.

@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"mpipart/internal/sim"
@@ -48,26 +46,4 @@ func (f *Fabric) Stats() []LinkStat {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// WriteStats prints a usage report for every link that carried traffic.
-func (f *Fabric) WriteStats(w io.Writer) {
-	fmt.Fprintf(w, "%-16s %10s %14s %14s\n", "link", "ops", "bytes", "busy")
-	for _, s := range f.Stats() {
-		if s.Ops == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-16s %10d %14d %14s\n", s.Name, s.Ops, s.Bytes, s.Busy)
-	}
-}
-
-// TotalBytes sums the traffic over all links (useful for verifying the
-// communication volume of an algorithm, e.g. ring allreduce's 2(P-1)/P·N
-// per rank).
-func (f *Fabric) TotalBytes() int64 {
-	var n int64
-	for _, s := range f.Stats() {
-		n += s.Bytes
-	}
-	return n
 }

@@ -25,9 +25,6 @@ type KernelSpec struct {
 	Body func(b *BlockCtx)
 }
 
-// Threads returns the total thread count of the launch.
-func (s *KernelSpec) Threads() int { return s.Grid * s.Block }
-
 // BlockCtx is the device-side view a kernel body runs against: one block of
 // the grid, with the device intrinsics the paper's GPU-initiated designs
 // use. All charge methods accumulate into the block's local time, of which
@@ -98,13 +95,6 @@ func (b *BlockCtx) PollDeviceFlag(f *Flags, i int) int64 {
 func (b *BlockCtx) WriteHostFlag(f *Flags, i int, v int64) {
 	d := b.stream.dev
 	d.F.FlagWritePipe(d.ID).TransferThen(8, func() { f.Set(i, v) })
-}
-
-// WriteDeviceFlag stores to a flag in this GPU's global memory (cheap,
-// immediate visibility to device and host pollers in the simulation).
-func (b *BlockCtx) WriteDeviceFlag(f *Flags, i int, v int64) {
-	b.extra += b.stream.dev.M.DeviceAtomicCost
-	f.Set(i, v)
 }
 
 // RemoteCopy posts a device-initiated copy of src into dst over the given

@@ -227,7 +227,10 @@ func TestSendrecvNoDeadlockOnRing(t *testing.T) {
 		next, prev := (r.ID+1)%P, (r.ID-1+P)%P
 		out := []float64{float64(r.ID)}
 		in := make([]float64, 1)
-		r.Sendrecv(p, next, 9, out, prev, 9, in)
+		rop := r.Irecv(p, prev, 9, in)
+		sop := r.Isend(p, next, 9, out)
+		rop.Wait(p)
+		sop.Wait(p)
 		results[r.ID] = in[0]
 	})
 	if err := w.Run(); err != nil {
@@ -583,11 +586,17 @@ func TestSendrecvHostPath(t *testing.T) {
 		p := r.Proc()
 		switch r.ID {
 		case 0:
-			r.SendrecvHost(p, 1, 1, []float64{1, 2}, 1, 2, got)
+			rop := r.IrecvHost(p, 1, 2, got)
+			sop := r.IsendHost(p, 1, 1, []float64{1, 2})
+			rop.Wait(p)
+			sop.Wait(p)
 		case 1:
 			out := []float64{3, 4}
 			in := make([]float64, 2)
-			r.SendrecvHost(p, 0, 2, out, 0, 1, in)
+			rop := r.IrecvHost(p, 0, 1, in)
+			sop := r.IsendHost(p, 0, 2, out)
+			rop.Wait(p)
+			sop.Wait(p)
 		}
 	})
 	if err := w.Run(); err != nil {

@@ -169,20 +169,3 @@ func (w *World) PendingMessages() (sends, recvs int) {
 	}
 	return
 }
-
-// Sendrecv posts a send and a receive concurrently and waits for both — the
-// classic building block of ring algorithms.
-func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sbuf []float64, src, rtag int, rbuf []float64) {
-	rop := r.Irecv(p, src, rtag, rbuf)
-	sop := r.Isend(p, dst, stag, sbuf)
-	rop.Wait(p)
-	sop.Wait(p)
-}
-
-// SendrecvHost is Sendrecv over the host-memory path.
-func (r *Rank) SendrecvHost(p *sim.Proc, dst, stag int, sbuf []float64, src, rtag int, rbuf []float64) {
-	rop := r.IrecvHost(p, src, rtag, rbuf)
-	sop := r.IsendHost(p, dst, stag, sbuf)
-	rop.Wait(p)
-	sop.Wait(p)
-}

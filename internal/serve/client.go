@@ -124,19 +124,6 @@ func (c *Client) Catalog() ([]string, error) {
 	return ids, nil
 }
 
-// Healthy probes /healthz.
-func (c *Client) Healthy() error {
-	resp, err := c.httpClient().Get(c.BaseURL + "/healthz")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("sweepd: health: %s", resp.Status)
-	}
-	return nil
-}
-
 func (c *Client) getJSON(path string, v interface{}) error {
 	resp, err := c.httpClient().Get(c.BaseURL + path)
 	if err != nil {

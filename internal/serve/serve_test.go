@@ -434,10 +434,15 @@ func TestMetricsEndpointJSONAndCSV(t *testing.T) {
 
 func TestHealthzAndCatalog(t *testing.T) {
 	_, ts, _ := newTestDaemon(t)
-	c := NewClient(ts.URL)
-	if err := c.Healthy(); err != nil {
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
 	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: %s", resp.Status)
+	}
+	c := NewClient(ts.URL)
 	ids, err := c.Catalog()
 	if err != nil {
 		t.Fatal(err)

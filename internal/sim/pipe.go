@@ -65,9 +65,6 @@ func (pp *Pipe) TransferThen(size int64, fn func()) (delivered Time) {
 	return t
 }
 
-// BusyUntil reports when the pipe's current backlog drains.
-func (pp *Pipe) BusyUntil() Time { return pp.busyUntil }
-
 // Stats reports cumulative transfer count, bytes, and busy time.
 func (pp *Pipe) Stats() (ops, bytes int64, busy Duration) {
 	return pp.ops, pp.bytes, pp.busyTotal

@@ -828,9 +828,6 @@ func (k *Kernel) describeBlocked() string {
 // Run returns it reports zero: leftover procs are drained, not live.
 func (k *Kernel) LiveProcs() int { return len(k.live) }
 
-// LiveTasks returns the number of continuation Tasks that have not finished.
-func (k *Kernel) LiveTasks() int { return len(k.liveTasks) }
-
 // LiveActors returns the total number of live actors — Procs plus Tasks —
 // for scale reporting.
 func (k *Kernel) LiveActors() int { return len(k.live) + len(k.liveTasks) }

@@ -312,9 +312,6 @@ func (h *MemHandle) RkeyPack() Rkey {
 // Parts returns the number of registered partition views.
 func (k Rkey) Parts() int { return len(k.parts) }
 
-// PartLen returns the element count of partition i.
-func (k Rkey) PartLen(i int) int { return len(k.parts[i]) }
-
 // Endpoint addresses a remote worker from a local one, carrying the
 // resolved data route.
 type Endpoint struct {

@@ -309,8 +309,8 @@ func TestRkeyAccessors(t *testing.T) {
 	k.Go("p", func(p *sim.Proc) {
 		h := ws[0].MemMap(p, [][]float64{make([]float64, 3), make([]float64, 5)}, nil)
 		rk := h.RkeyPack()
-		if rk.Parts() != 2 || rk.PartLen(0) != 3 || rk.PartLen(1) != 5 {
-			t.Errorf("rkey accessors wrong: %d %d %d", rk.Parts(), rk.PartLen(0), rk.PartLen(1))
+		if rk.Parts() != 2 || len(rk.parts[0]) != 3 || len(rk.parts[1]) != 5 {
+			t.Errorf("rkey accessors wrong: %d %d %d", rk.Parts(), len(rk.parts[0]), len(rk.parts[1]))
 		}
 	})
 	if err := k.Run(); err != nil {
