@@ -163,11 +163,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // selectJobs picks the figure and table jobs the flags ask for: every job
 // with -all or with neither -fig nor -table, otherwise the job named
-// fig<N>, then the one named table<N>.
+// fig<N>, then the one named table<N>. A selected job the caps leave
+// without points is an error naming the cap.
 func selectJobs(fig, table int, all bool, maxGrid, maxMult int) ([]bench.Job, error) {
 	jobs := bench.Jobs(maxGrid, maxMult)
 	if all || (fig == 0 && table == 0) {
-		return jobs, nil
+		return jobs, nonEmpty(jobs, maxGrid, maxMult)
 	}
 	named := func(name string) (bench.Job, bool) {
 		for _, j := range jobs {
@@ -192,7 +193,22 @@ func selectJobs(fig, table int, all bool, maxGrid, maxMult int) ([]bench.Job, er
 		}
 		sel = append(sel, j)
 	}
-	return sel, nil
+	return sel, nonEmpty(sel, maxGrid, maxMult)
+}
+
+// nonEmpty reports the first job with no points, naming the cap that bounds
+// its sweep: the Jacobi multiplier for Figs. 8 and 9, the grid otherwise.
+func nonEmpty(jobs []bench.Job, maxGrid, maxMult int) error {
+	for _, j := range jobs {
+		if len(j.Points) > 0 {
+			continue
+		}
+		if j.Name == "fig8" || j.Name == "fig9" {
+			return fmt.Errorf("-max-mult %d leaves %s without points", maxMult, j.Name)
+		}
+		return fmt.Errorf("-max-grid %d leaves %s without points", maxGrid, j.Name)
+	}
+	return nil
 }
 
 // resolvePoints matches each comma-separated ID or glob of list against

@@ -57,20 +57,33 @@ func TestPointGlobSortedByID(t *testing.T) {
 
 // TestUsageErrorsExit2 pins the usage-error exit code: an ID or glob
 // naming no catalog point, a malformed glob, -point combined with a table
-// flag, and an unknown figure or table.
+// flag, an unknown figure or table, -require-warm without -store, and a
+// cap that leaves a selected figure without points each exit 2 with a
+// message naming the input and nothing on stdout.
 func TestUsageErrorsExit2(t *testing.T) {
-	for _, args := range [][]string{
-		{"-point", "fig4/g=1024/nope"},
-		{"-point", "table1/overheads,nope/*"},
-		{"-point", "["},
-		{"-point", "table1/overheads", "-fig", "4"},
-		{"-point", "table1/overheads", "-all"},
-		{"-fig", "12"},
-		{"-table", "2"},
-		{"-require-warm"},
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-point", "fig4/g=1024/nope"}, "fig4/g=1024/nope"},
+		{[]string{"-point", "table1/overheads,nope/*"}, "nope/*"},
+		{[]string{"-point", "["}, `-point "["`},
+		{[]string{"-point", "table1/overheads", "-fig", "4"}, "-fig"},
+		{[]string{"-point", "table1/overheads", "-all"}, "-all"},
+		{[]string{"-fig", "12"}, "unknown figure 12"},
+		{[]string{"-table", "2"}, "unknown table 2"},
+		{[]string{"-require-warm"}, "-require-warm needs -store"},
+		{[]string{"-fig", "4", "-max-grid", "0"}, "-max-grid 0 leaves fig4"},
+		{[]string{"-fig", "6", "-max-grid", "64"}, "-max-grid 64 leaves fig6"},
+		{[]string{"-fig", "8", "-max-mult", "0"}, "-max-mult 0 leaves fig8"},
+		{[]string{"-all", "-max-grid", "64"}, "-max-grid 64 leaves fig6"},
 	} {
-		if code, out := figures(t, args...); code != 2 || out != "" {
-			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", args, code, out)
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != 2 || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", tc.args, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), tc.msg) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errOut.String(), tc.msg)
 		}
 	}
 }

@@ -48,6 +48,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	bench.RunJob(runner.New(*workers), bench.HaloJob(topo, *max)).Fprint(stdout)
+	job := bench.HaloJob(topo, *max)
+	if len(job.Points) == 0 {
+		fmt.Fprintf(stderr, "halobench: -max %d is below the smallest halo size\n", *max)
+		fs.Usage()
+		return 2
+	}
+	bench.RunJob(runner.New(*workers), job).Fprint(stdout)
 	return 0
 }

@@ -18,11 +18,11 @@ func TestNodesSelectsTopology(t *testing.T) {
 		"2": cluster.TwoNodeGH200(),
 	} {
 		var out, errOut bytes.Buffer
-		if code := run([]string{"-nodes", nodes, "-max", "64", "-workers", "1"}, &out, &errOut); code != 0 {
+		if code := run([]string{"-nodes", nodes, "-max", "256", "-workers", "1"}, &out, &errOut); code != 0 {
 			t.Fatalf("-nodes %s: exit %d: %s", nodes, code, errOut.String())
 		}
 		var want bytes.Buffer
-		bench.RunJob(runner.New(1), bench.HaloJob(topo, 64)).Fprint(&want)
+		bench.RunJob(runner.New(1), bench.HaloJob(topo, 256)).Fprint(&want)
 		if out.String() != want.String() {
 			t.Fatalf("-nodes %s differs from HaloJob:\n got %s\nwant %s", nodes, out.String(), want.String())
 		}
@@ -30,20 +30,25 @@ func TestNodesSelectsTopology(t *testing.T) {
 }
 
 // TestUsageErrorsExit2 pins the usage-error exit code: a node count other
-// than 1 or 2 and an unknown flag exit 2 with a message on stderr and
-// nothing on stdout.
+// than 1 or 2, an unknown flag and a -max below the smallest halo size (an
+// empty sweep) exit 2 with a message naming the input, the usage on stderr
+// and nothing on stdout.
 func TestUsageErrorsExit2(t *testing.T) {
-	for _, args := range [][]string{
-		{"-nodes", "3"},
-		{"-nodes", "0"},
-		{"-bogus"},
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-nodes", "3"}, "-nodes 3"},
+		{[]string{"-nodes", "0"}, "-nodes 0"},
+		{[]string{"-bogus"}, "-bogus"},
+		{[]string{"-max", "128"}, "halobench: -max 128"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {
-			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", args, code, out.String())
+		if code := run(tc.args, &out, &errOut); code != 2 || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", tc.args, code, out.String())
 		}
-		if !strings.Contains(errOut.String(), "Usage") {
-			t.Errorf("%v: stderr lacks the usage message: %q", args, errOut.String())
+		if !strings.Contains(errOut.String(), tc.msg) || !strings.Contains(errOut.String(), "Usage") {
+			t.Errorf("%v: stderr lacks %q and the usage message: %q", tc.args, tc.msg, errOut.String())
 		}
 	}
 }

@@ -98,16 +98,19 @@ func TestSARIFMode(t *testing.T) {
 }
 
 // TestTimingMode pins the -timing contract: a per-analyzer wall-time table on
-// stderr, a timings section in the -json report (absent without the flag so
-// the golden artifact stays byte-stable), and the -max-rule-time budget that
-// turns a slow analyzer into a failing exit for CI.
+// stderr, led by the (load) and (callgraph) rows, a timings section in the
+// -json report (absent without the flag so the golden artifact stays
+// byte-stable), and the -max-rule-time budget that turns a slow analyzer
+// into a failing exit for CI.
 func TestTimingMode(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-timing", "-rules", "simclock", "./internal/sim"}, &out, &errOut); code != 0 {
 		t.Fatalf("-timing: exit %d, stderr %s", code, errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "simclock") || !strings.Contains(errOut.String(), "ms") {
-		t.Fatalf("-timing stderr lacks the wall-time table:\n%s", errOut.String())
+	for _, row := range []string{"(load)", "(callgraph)", "simclock"} {
+		if !strings.Contains(errOut.String(), row) || !strings.Contains(errOut.String(), "ms") {
+			t.Fatalf("-timing stderr lacks the %s row of the wall-time table:\n%s", row, errOut.String())
+		}
 	}
 
 	out.Reset()
@@ -128,8 +131,8 @@ func TestTimingMode(t *testing.T) {
 	for _, tm := range rep.Timings {
 		rules[tm.Rule] = true
 	}
-	if !rules["simclock"] || !rules["(callgraph)"] {
-		t.Fatalf("timings section missing simclock/(callgraph): %s", out.String())
+	if !rules["simclock"] || !rules["(callgraph)"] || !rules["(load)"] {
+		t.Fatalf("timings section missing simclock/(callgraph)/(load): %s", out.String())
 	}
 
 	out.Reset()

@@ -42,6 +42,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topo, peer = cluster.TwoNodeGH200(), 4
 	}
 	job, err := bench.OSUJob(*kind, topo, peer, *max)
+	if err == nil && len(job.Points) == 0 {
+		err = fmt.Errorf("-max %d is below the smallest %s message size", *max, *kind)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "osu: %v\n", err)
 		fs.Usage()

@@ -28,19 +28,26 @@ func TestKindMatchesJob(t *testing.T) {
 	}
 }
 
-// TestUsageErrorsExit2 pins the usage-error exit code: an unknown kind and
-// an unknown flag exit 2 with a message on stderr and nothing on stdout.
+// TestUsageErrorsExit2 pins the usage-error exit code: an unknown kind, an
+// unknown flag and a -max below the kind's smallest message size (an empty
+// sweep) exit 2 with a message naming the input, the usage on stderr and
+// nothing on stdout.
 func TestUsageErrorsExit2(t *testing.T) {
-	for _, args := range [][]string{
-		{"-kind", "nope"},
-		{"-bogus"},
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-kind", "nope"}, `unknown OSU kind "nope"`},
+		{[]string{"-bogus"}, "-bogus"},
+		{[]string{"-kind", "platency", "-max", "2"}, "osu: -max 2"},
+		{[]string{"-max", "0"}, "osu: -max 0"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {
-			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", args, code, out.String())
+		if code := run(tc.args, &out, &errOut); code != 2 || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", tc.args, code, out.String())
 		}
-		if !strings.Contains(errOut.String(), "Usage") {
-			t.Errorf("%v: stderr lacks the usage message: %q", args, errOut.String())
+		if !strings.Contains(errOut.String(), tc.msg) || !strings.Contains(errOut.String(), "Usage") {
+			t.Errorf("%v: stderr lacks %q and the usage message: %q", tc.args, tc.msg, errOut.String())
 		}
 	}
 }

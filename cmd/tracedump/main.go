@@ -11,7 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"mpipart/internal/cluster"
@@ -23,39 +23,64 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point; it returns the process exit code:
+// 0 success, 1 a run or I/O failure, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracedump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out      = flag.String("o", "trace.json", "output file")
-		grid     = flag.Int("grid", 16, "kernel grid size")
-		scenario = flag.String("scenario", "p2p", "p2p | allreduce")
+		out      = fs.String("o", "trace.json", "output file")
+		grid     = fs.Int("grid", 16, "kernel grid size")
+		scenario = fs.String("scenario", "p2p", "p2p | allreduce")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := ""
+	switch {
+	case *scenario != "p2p" && *scenario != "allreduce":
+		usage = fmt.Sprintf("-scenario %q: want p2p or allreduce", *scenario)
+	case *grid < 1:
+		usage = fmt.Sprintf("-grid %d: want at least 1", *grid)
+	case *scenario == "allreduce" && *grid%2 != 0:
+		usage = fmt.Sprintf("-grid %d: the allreduce scenario splits the grid into two partitions, so it must be even", *grid)
+	}
+	if usage != "" {
+		fmt.Fprintf(stderr, "tracedump: %s\n", usage)
+		fs.Usage()
+		return 2
+	}
 
 	w := mpi.NewWorld(cluster.OneNodeGH200(), cluster.DefaultModel(), 1)
 	tr := sim.NewTracer()
 	w.K.SetTracer(tr)
-
-	switch *scenario {
-	case "p2p":
+	if *scenario == "p2p" {
 		runP2P(w, *grid)
-	case "allreduce":
+	} else {
 		runAllreduce(w, *grid)
-	default:
-		log.Fatalf("unknown scenario %q", *scenario)
 	}
 	if err := w.Run(); err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "tracedump: %v\n", err)
+		return 1
 	}
 
 	f, err := os.Create(*out)
+	if err == nil {
+		err = tr.WriteChromeTrace(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "tracedump: %v\n", err)
+		return 1
 	}
-	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
+	fmt.Fprintf(stdout, "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
 		tr.Len(), *out)
+	return 0
 }
 
 func runP2P(w *mpi.World, grid int) {
@@ -72,7 +97,7 @@ func runP2P(w *mpi.World, grid int) {
 				Mech: core.ProgressionEngine, BlocksPerTransport: grid,
 			})
 			if err != nil {
-				log.Fatal(err)
+				panic(err) // surfaces from w.Run; the scenario never triggers it
 			}
 			r.Stream.Launch(gpu.KernelSpec{
 				Name: "vecadd+pready", Grid: grid, Block: 1024,

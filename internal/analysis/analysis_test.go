@@ -28,8 +28,8 @@ func newTestLoader(t *testing.T) *Loader {
 }
 
 // TestLoadersShareStdlib type-checks stdlib-importing packages from several
-// loaders at once: they share one file set and one source importer, which
-// must serialize its imports.
+// loaders at once: each has its own file set and export-data importer, and
+// they share the process's cached go list runs, which must serialize.
 func TestLoadersShareStdlib(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {

@@ -1,14 +1,19 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,8 +40,9 @@ type Package struct {
 	// lookups can miss when type-checking was partial.
 	Types *types.Package
 	Info  *types.Info
-	// TypeErrors collects (non-fatal) type-checker complaints, mostly from
-	// imports resolved as empty stubs.
+	// TypeErrors collects (non-fatal) type-checker complaints about the
+	// package's own code. An import that resolves nowhere is a load error
+	// instead.
 	TypeErrors []error
 
 	supps []suppression
@@ -64,33 +70,25 @@ func (p *Package) suppressed(file string, line int, rule string) bool {
 	return false
 }
 
-// Loader loads module packages for analysis. It resolves imports inside the
-// module from source (recursively) and everything else through the stdlib
-// source importer, substituting empty stub packages when resolution fails so
-// analysis degrades instead of aborting.
+// Loader loads the packages of a module for analysis. Module packages are
+// parsed and type-checked from source, once each; every other import (the
+// standard library, and module packages a LoadSource fixture imports) is
+// read from the export data `go list -export` leaves in the build cache.
 type Loader struct {
 	ModuleRoot string
-	ModulePath string
 	Fset       *token.FileSet
 
-	typesCache map[string]*types.Package
-	checking   map[string]bool // cycle guard
-	typeErrs   []error
-	// memPkgs holds the non-test ASTs of packages built with LoadSource, so
-	// one in-memory fixture package can import another (load the imported
-	// package first).
-	memPkgs map[string][]*ast.File
-}
-
-// stdlib is the file set and standard-library source importer every Loader
-// of the process shares, so the standard library is type-checked from
-// source once per process rather than once per loader. The source importer
-// is not safe for concurrent use: mu serializes Import.
-var stdlib struct {
-	once     sync.Once
-	fset     *token.FileSet
-	mu       sync.Mutex
-	importer types.Importer
+	// checked holds the packages type-checked from source (Load's module
+	// packages, LoadSource fixtures) by import path; they answer every
+	// later import of their path.
+	checked map[string]*types.Package
+	// exports maps import paths to export data files, from the go list
+	// runs this loader has used.
+	exports map[string]string
+	gc      types.Importer
+	// importErr is the first import the type checker could not resolve
+	// during the current check.
+	importErr error
 }
 
 // NewLoader creates a loader for the module rooted at root (the directory
@@ -100,152 +98,134 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
-	if err != nil {
-		return nil, fmt.Errorf("analysis: not a module root: %w", err)
-	}
-	modPath := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			modPath = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if modPath == "" {
-		return nil, fmt.Errorf("analysis: no module line in %s/go.mod", abs)
-	}
-	stdlib.once.Do(func() {
-		stdlib.fset = token.NewFileSet()
-		stdlib.importer = importer.ForCompiler(stdlib.fset, "source", nil)
-	})
-	return &Loader{
+	l := &Loader{
 		ModuleRoot: abs,
-		ModulePath: modPath,
-		Fset:       stdlib.fset,
-		typesCache: map[string]*types.Package{},
-		checking:   map[string]bool{},
-	}, nil
+		Fset:       token.NewFileSet(),
+		checked:    map[string]*types.Package{},
+		exports:    map[string]string{},
+	}
+	l.gc = importer.ForCompiler(l.Fset, "gc", l.lookup)
+	return l, nil
 }
 
-// Load resolves patterns to packages. A pattern is either a directory
-// (absolute, or relative to the module root, "./x" style accepted) or the
-// recursive form "dir/..." which walks for every directory containing Go
-// files. Results are sorted by import path.
+// listedPackage is the part of `go list -json` output the loader reads.
+type listedPackage struct {
+	ImportPath   string
+	Dir          string
+	Export       string
+	Standard     bool
+	DepOnly      bool
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+}
+
+// listing is one `go list -export -deps -json` run: the packages in
+// dependency order (every package after its imports).
+type listing struct {
+	pkgs []*listedPackage
+	err  error
+}
+
+// listings caches go list runs by module root and patterns, so the loaders
+// of one process (mpivet's, every fixture test's) share one listing of the
+// module and its dependencies.
+var listings struct {
+	sync.Mutex
+	runs map[string]*listing
+}
+
+// goList runs `go list -export -deps -json` on patterns from root, once per
+// process. A failing go list is an error carrying its stderr.
+func goList(root string, patterns ...string) *listing {
+	key := root + "\x00" + strings.Join(patterns, "\x00")
+	listings.Lock()
+	defer listings.Unlock()
+	if ls, ok := listings.runs[key]; ok {
+		return ls
+	}
+	ls := &listing{}
+	args := append([]string{"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,TestGoFiles,XTestGoFiles", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		ls.err = fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ls.err == nil; {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err == io.EOF {
+			break
+		} else if err != nil {
+			ls.err = fmt.Errorf("go list %s: %v", strings.Join(patterns, " "), err)
+			break
+		}
+		ls.pkgs = append(ls.pkgs, p)
+	}
+	if listings.runs == nil {
+		listings.runs = map[string]*listing{}
+	}
+	listings.runs[key] = ls
+	return ls
+}
+
+// merge records the export data files of a listing.
+func (l *Loader) merge(ls *listing) error {
+	for _, p := range ls.pkgs {
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
+		}
+	}
+	return ls.err
+}
+
+// Load resolves go list patterns ("./...", "./internal/sim", a directory),
+// relative to the module root, to packages sorted by import path. Every
+// file go list reports for a package is parsed, test files included; the
+// non-test files are type-checked in go list's dependency order. Module
+// packages the patterns only depend on are checked too, so no package is
+// seen both from source and from export data, but they are not returned.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs := map[string]bool{}
-	for _, pat := range patterns {
-		if rec, ok := strings.CutSuffix(pat, "/..."); ok {
-			if rec == "." || rec == "" {
-				rec = l.ModuleRoot
-			} else {
-				rec = l.absDir(rec)
-			}
-			err := filepath.WalkDir(rec, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				base := d.Name()
-				if base != "." && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") ||
-					base == "testdata" || base == "vendor") {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					dirs[path] = true
-				}
-				return nil
-			})
+	ls := goList(l.ModuleRoot, patterns...)
+	if err := l.merge(ls); err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, lp := range ls.pkgs {
+		if lp.Standard {
+			continue
+		}
+		pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: l.Fset}
+		names := slices.Concat(lp.GoFiles, lp.TestGoFiles, lp.XTestGoFiles)
+		sort.Strings(names)
+		for _, name := range names {
+			path := filepath.Join(lp.Dir, name)
+			src, err := os.ReadFile(path)
 			if err != nil {
 				return nil, err
 			}
-			continue
+			if err := l.addFile(pkg, name, shortPath(l.ModuleRoot, path), src); err != nil {
+				return nil, err
+			}
 		}
-		dir := l.absDir(pat)
-		if !hasGoFiles(dir) {
-			return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-		}
-		dirs[dir] = true
-	}
-	// Load in sorted directory order: loadDir reads the filesystem and
-	// reports errors, so the first-error identity (and any I/O ordering)
-	// must not depend on map iteration.
-	dirList := make([]string, 0, len(dirs))
-	for dir := range dirs {
-		dirList = append(dirList, dir)
-	}
-	sort.Strings(dirList)
-	var pkgs []*Package
-	for _, dir := range dirList {
-		pkg, err := l.loadDir(dir)
-		if err != nil {
+		if err := l.check(pkg); err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
-func (l *Loader) absDir(p string) string {
-	if filepath.IsAbs(p) {
-		return filepath.Clean(p)
-	}
-	return filepath.Join(l.ModuleRoot, p)
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true
-		}
-	}
-	return false
-}
-
-// importPathFor maps a module directory to its import path.
-func (l *Loader) importPathFor(dir string) string {
-	rel, err := filepath.Rel(l.ModuleRoot, dir)
-	if err != nil || rel == "." {
-		return l.ModulePath
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
-// loadDir parses and type-checks the package in dir.
-func (l *Loader) loadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &Package{Path: l.importPathFor(dir), Dir: dir, Fset: l.Fset}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := l.addFile(pkg, name, shortPath(l.ModuleRoot, path), src); err != nil {
-			return nil, err
-		}
-	}
-	l.check(pkg)
-	return pkg, nil
-}
-
 // LoadSource builds a package from in-memory sources (fixture tests). The
-// map key is the file name; diagnostics use it verbatim. The package is
-// registered so later LoadSource packages can import it by path.
+// map key is the file name; diagnostics use it verbatim. The package
+// answers later imports of pkgPath, so one fixture package can import
+// another (load the imported package first); reloading a path replaces it.
 func (l *Loader) LoadSource(pkgPath string, files map[string]string) (*Package, error) {
 	pkg := &Package{Path: pkgPath, Fset: l.Fset}
 	names := make([]string, 0, len(files))
@@ -258,18 +238,9 @@ func (l *Loader) LoadSource(pkgPath string, files map[string]string) (*Package, 
 			return nil, err
 		}
 	}
-	if l.memPkgs == nil {
-		l.memPkgs = map[string][]*ast.File{}
+	if err := l.check(pkg); err != nil {
+		return nil, err
 	}
-	var nonTest []*ast.File
-	for _, f := range pkg.Files {
-		if !f.Test {
-			nonTest = append(nonTest, f.Ast)
-		}
-	}
-	l.memPkgs[pkgPath] = nonTest
-	delete(l.typesCache, pkgPath) // reloading a fixture path replaces it
-	l.check(pkg)
 	return pkg, nil
 }
 
@@ -299,14 +270,16 @@ func (l *Loader) addFile(pkg *Package, name, shown string, src []byte) error {
 	return nil
 }
 
-// check type-checks the package's non-test files, best-effort.
-func (l *Loader) check(pkg *Package) {
+// check type-checks the package's non-test files and registers the result
+// under its path. An unresolvable import fails the check.
+func (l *Loader) check(pkg *Package) error {
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
+	delete(l.checked, pkg.Path)
 	var files []*ast.File
 	for _, f := range pkg.Files {
 		if !f.Test {
@@ -314,113 +287,53 @@ func (l *Loader) check(pkg *Package) {
 		}
 	}
 	if len(files) == 0 {
-		return
+		return nil
 	}
 	conf := types.Config{
 		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	tpkg, _ := conf.Check(pkg.Path, l.Fset, files, pkg.Info) // errors collected via hook
-	pkg.Types = tpkg
+	l.importErr = nil
+	pkg.Types, _ = conf.Check(pkg.Path, l.Fset, files, pkg.Info) // errors collected via hook
+	if l.importErr != nil {
+		return fmt.Errorf("analysis: %s: %w", pkg.Path, l.importErr)
+	}
+	l.checked[pkg.Path] = pkg.Types
+	return nil
 }
 
-// Import implements types.Importer: module packages are type-checked from
-// source; everything else goes through the stdlib source importer, with an
-// empty stub on failure.
+// Import implements types.Importer: a package checked from source answers
+// for its path; everything else comes from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if p, ok := l.typesCache[path]; ok {
+	if p, ok := l.checked[path]; ok {
 		return p, nil
 	}
-	if files, ok := l.memPkgs[path]; ok {
-		p := l.checkFiles(path, files)
-		l.typesCache[path] = p
-		return p, nil
+	p, err := l.gc.Import(path)
+	if err != nil && l.importErr == nil {
+		l.importErr = err
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		p := l.importModulePkg(path)
-		l.typesCache[path] = p
-		return p, nil
-	}
-	stdlib.mu.Lock()
-	p, err := stdlib.importer.Import(path)
-	stdlib.mu.Unlock()
-	if err != nil || p == nil {
-		l.typeErrs = append(l.typeErrs, fmt.Errorf("import %q: %v", path, err))
-		p = stubPackage(path)
-	}
-	l.typesCache[path] = p
-	return p, nil
+	return p, err
 }
 
-// importModulePkg type-checks a module-internal dependency (non-test files
-// only). Failures degrade to a stub package.
-func (l *Loader) importModulePkg(path string) *types.Package {
-	if l.checking[path] {
-		// Import cycle: the compiler would reject this; degrade to a stub so
-		// analysis of the rest can continue.
-		l.typeErrs = append(l.typeErrs, fmt.Errorf("import cycle through %q", path))
-		return stubPackage(path)
-	}
-	l.checking[path] = true
-	defer delete(l.checking, path)
-
-	dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/")))
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		l.typeErrs = append(l.typeErrs, err)
-		return stubPackage(path)
-	}
-	var files []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+// lookup opens the export data of path for the gc importer. It consults
+// the listings this loader has used, then the module's "./..." listing,
+// then a listing of path itself (a fixture may import a package the module
+// does not).
+func (l *Loader) lookup(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	for _, pattern := range []string{"./...", path} {
+		if ok {
+			break
 		}
-		f, perr := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, 0)
-		if perr != nil {
-			l.typeErrs = append(l.typeErrs, perr)
-			return stubPackage(path)
+		if err := l.merge(goList(l.ModuleRoot, pattern)); err != nil {
+			return nil, err
 		}
-		files = append(files, f)
+		file, ok = l.exports[path]
 	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { l.typeErrs = append(l.typeErrs, err) },
+	if !ok {
+		return nil, fmt.Errorf("go list reports no export data for %s", path)
 	}
-	p, _ := conf.Check(path, l.Fset, files, nil) // errors collected via hook
-	if p == nil {
-		return stubPackage(path)
-	}
-	return p
-}
-
-// checkFiles type-checks a set of ASTs as package path, degrading to a stub.
-func (l *Loader) checkFiles(path string, files []*ast.File) *types.Package {
-	if l.checking[path] {
-		l.typeErrs = append(l.typeErrs, fmt.Errorf("import cycle through %q", path))
-		return stubPackage(path)
-	}
-	l.checking[path] = true
-	defer delete(l.checking, path)
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { l.typeErrs = append(l.typeErrs, err) },
-	}
-	p, _ := conf.Check(path, l.Fset, files, nil) // errors collected via hook
-	if p == nil {
-		return stubPackage(path)
-	}
-	return p
-}
-
-func stubPackage(path string) *types.Package {
-	base := path
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		base = path[i+1:]
-	}
-	p := types.NewPackage(path, base)
-	p.MarkComplete()
-	return p
+	return os.Open(file)
 }
 
 // shortPath makes diagnostics readable: paths under root become relative.
